@@ -122,10 +122,26 @@ def shuffle_ids(arr: Arrangement, rng: np.random.Generator, swaps: int) -> Arran
     if swaps == 0 or occupied.size < 1:
         return arr
     pairs = rng.integers(0, occupied.size, size=(swaps, 2))
-    for a, b in pairs:
-        ia, ib = occupied[a], occupied[b]
-        vector[ia], vector[ib] = vector[ib], vector[ia]
+    vector[occupied] = _transpose_rows(vector[None, occupied], pairs[None])[0]
     return Arrangement.from_scan_vector(arr.dims, vector)
+
+
+def _transpose_rows(seqs: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """Apply transpositions `pairs[r, t]` to row r of `seqs`, in step order t.
+
+    `seqs` is (rows, n) and `pairs` is (rows, steps, 2) with positions in
+    [0, n). Each step swaps in every row at once through flat indices, so the
+    Python-level loop runs over steps only; rows never share a flat index, so
+    the result equals applying each row's swaps one after another. A
+    C-contiguous `seqs` is updated in place; the result is returned either way.
+    """
+    rows, n = seqs.shape
+    flat = seqs.reshape(-1)
+    # (steps, 2, rows) flat positions, laid out so each step's pair is contiguous.
+    index = np.add(pairs.transpose(1, 2, 0), np.arange(rows) * n, order="C")
+    for a, b in index:
+        flat[a], flat[b] = flat[b], flat[a]
+    return flat.reshape(rows, n)
 
 
 def above_count(arr: Arrangement, cell: Cell) -> int:

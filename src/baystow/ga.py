@@ -14,6 +14,8 @@ parent. Internally individuals are stored as id sequences over the canonical
 scan order, which turns all operators into flat array operations; the public
 operators accept and return `Arrangement` values and share the same core, so
 a run is reproducible whether it is driven by `run` or stepped manually.
+Population init draws every row's transpositions in one call and applies
+each transposition step to all rows at once.
 """
 
 from __future__ import annotations
@@ -24,10 +26,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import mask_seed
-from .arrangement import Arrangement, validate
+from .arrangement import Arrangement, _transpose_rows, validate
 from .bay import BayDims, canonical_above_counts, scan_coords
 from .errors import EmptyPopulation, InvalidArrangement, ShapeMismatch
 from .instances import Instance
+
+
+def _require_int(name: str, value, least: int) -> None:
+    if not isinstance(value, int) or isinstance(value, bool) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -43,16 +50,14 @@ class GaConfig:
     validate_every_individual: bool = False
 
     def __post_init__(self) -> None:
-        if self.pop_size < 1:
-            raise ValueError(f"pop_size must be >= 1, got {self.pop_size}")
-        if self.generations < 1:
-            raise ValueError(f"generations must be >= 1, got {self.generations}")
+        _require_int("pop_size", self.pop_size, 1)
+        _require_int("generations", self.generations, 1)
+        if self.init_swaps is not None:
+            _require_int("init_swaps", self.init_swaps, 0)
         for name in ("crossover_prob", "mutation_prob"):
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {p}")
-        if self.init_swaps is not None and self.init_swaps < 0:
-            raise ValueError(f"init_swaps must be >= 0, got {self.init_swaps}")
 
 
 @dataclass(frozen=True)
@@ -144,10 +149,8 @@ def _init_seqs(ctx: _Context, cfg: GaConfig, rng: np.random.Generator) -> np.nda
     swaps = cfg.init_swaps if cfg.init_swaps is not None else ctx.nc
     seqs = np.tile(np.arange(1, ctx.nc + 1, dtype=np.int64), (cfg.pop_size, 1))
     if swaps and ctx.nc:
-        for row in seqs:
-            pairs = rng.integers(0, ctx.nc, size=(swaps, 2))
-            for a, b in pairs:
-                row[a], row[b] = row[b], row[a]
+        # One draw fills the rows in order, matching per-row draws number for number.
+        seqs = _transpose_rows(seqs, rng.integers(0, ctx.nc, size=(cfg.pop_size, swaps, 2)))
     return seqs
 
 

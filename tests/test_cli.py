@@ -81,6 +81,11 @@ class TestSolve:
         code = main(["solve", str(instance_file), "--pc", "1.7", "--out", str(tmp_path / "o")])
         assert code == 1
 
+    def test_zero_population_is_usage_error(self, tmp_path, instance_file, capsys):
+        code = main(["solve", str(instance_file), "--pop-size", "0", "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "pop_size" in capsys.readouterr().err
+
 
 class TestValidate:
     def test_reports_violations_with_status_3(self, tmp_path, instance_file, capsys):

@@ -61,6 +61,25 @@ class TestGaConfig:
         with pytest.raises(ValueError):
             GaConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"pop_size": True},
+            {"pop_size": 2.5},
+            {"pop_size": "50"},
+            {"generations": False},
+            {"generations": 10.0},
+            {"init_swaps": True},
+            {"init_swaps": 1.5},
+        ],
+    )
+    def test_non_integer_counts_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="must be an integer"):
+            GaConfig(**kwargs)
+
+    def test_default_init_swaps_is_none(self):
+        assert GaConfig(init_swaps=None).init_swaps is None
+
 
 class TestInitPopulation:
     def test_unshuffled_singleton_is_canonical(self, rng):
