@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from baystow import BayDims, Container, GaConfig, Instance, canonical_fill, shuffle_ids
-from baystow.arrangement import Arrangement, _transpose_rows
+from baystow.arrangement import Arrangement
 from baystow.ga import _context, _init_seqs
 
 SEEDS = st.integers(0, 2**32 - 1)
@@ -73,15 +73,3 @@ def test_shuffle_ids_matches_per_swap_reference(nc, height, swaps, seed):
     assert shuffle_ids(arr, rng_new, swaps) == reference_shuffle(arr, rng_ref, swaps)
     assert rng_new.random() == rng_ref.random()
 
-
-@settings(max_examples=100, deadline=None)
-@given(st.integers(1, 8), st.integers(1, 40), st.integers(0, 30), SEEDS)
-def test_transpose_rows_matches_sequential_swaps(rows, n, steps, seed):
-    rng = np.random.default_rng(seed)
-    seqs = rng.permutation(rows * n).reshape(rows, n)
-    pairs = rng.integers(0, n, size=(rows, steps, 2))
-    expected = seqs.copy()
-    for row, row_pairs in zip(expected, pairs):
-        for a, b in row_pairs:
-            row[a], row[b] = row[b], row[a]
-    np.testing.assert_array_equal(_transpose_rows(seqs, pairs), expected)
