@@ -5,6 +5,10 @@ best id sequence plus every per-generation best and mean fitness (relative
 tolerance 1e-12). The initial population and the random stream after it are
 pinned too, as is one `shuffle_ids` draw, so a change to how transpositions
 are drawn or applied shows up here even if the final best happens to agree.
+The public operators are pinned on their own: five `evolve_step`s from
+`init_population`, 20 `roulette_select` draws, 10 chained `mutate`s and one
+`crossover` pair, then the random stream after them, for several crossover
+and mutation probabilities.
 
 The recorded values live in `golden_traces.json`. Re-record them only for a
 deliberate behaviour change:
@@ -24,11 +28,17 @@ import pytest
 
 from baystow import (
     BayDims,
+    CrossoverPlanes,
     GaConfig,
     GeneratorSpec,
     canonical_fill,
+    crossover,
+    evolve_step,
+    fitness,
     generate_instance,
     init_population,
+    mutate,
+    roulette_select,
     run,
     shuffle_ids,
 )
@@ -45,6 +55,13 @@ CASES = {
 }
 
 SHUFFLE_CASE = ((4, 3, 3), 30, 16, 45)  # dims, n_containers, seed, swaps
+
+# name -> (crossover_prob, mutation_prob). Every case runs on the same
+# instance: 30 containers in 36 cells, so scan vectors and id sequences
+# differ, and an odd population, so the last crossover pair is cut in half.
+OPERATOR_CASES = {"pc0.8-pm0.1": (0.8, 0.1), "pc1-pm1": (1.0, 1.0), "pc0-pm0": (0.0, 0.0)}
+OPERATOR_INSTANCE = ((4, 3, 3), 30, 17)
+OPERATOR_SEED = 31
 
 
 def _digest(values) -> str:
@@ -79,10 +96,37 @@ def shuffle_trace() -> dict:
     return {"grid_sha256": _digest(shuffled.grid), "next_random": rng.random()}
 
 
+def operator_trace(name: str) -> dict:
+    pc, pm = OPERATOR_CASES[name]
+    inst = _instance(*OPERATOR_INSTANCE)
+    cfg = GaConfig(pop_size=9, crossover_prob=pc, mutation_prob=pm)
+    rng = np.random.default_rng(OPERATOR_SEED)
+    initial = init_population(inst, cfg, rng)
+    population, steps = initial, []
+    for _ in range(5):
+        population = evolve_step(population, inst, cfg, rng)
+        steps.append(_digest([arr.id_sequence() for arr in population]))
+    fits = [fitness(arr, inst).fitness for arr in population]
+    picks = [roulette_select(fits, rng) for _ in range(20)]
+    arr, mutants = population[0], []
+    for _ in range(10):
+        arr = mutate(arr, rng)
+        mutants.append(_digest(arr.grid))
+    children = crossover(initial[0], initial[1], CrossoverPlanes(2, 2, 2))
+    return {
+        "evolve_step_sha256": steps,
+        "roulette_select": picks,
+        "mutate_sha256": mutants,
+        "crossover_sha256": [_digest(child.grid) for child in children],
+        "next_random": rng.random(),
+    }
+
+
 def record() -> dict:
     return {
         "runs": {name: trace(name) for name in CASES},
         "shuffle_ids": shuffle_trace(),
+        "operators": {name: operator_trace(name) for name in OPERATOR_CASES},
     }
 
 
@@ -106,6 +150,11 @@ def test_run_matches_golden_trace(golden, name):
 
 def test_shuffle_ids_matches_golden_trace(golden):
     assert shuffle_trace() == golden["shuffle_ids"]
+
+
+@pytest.mark.parametrize("name", list(OPERATOR_CASES))
+def test_operators_match_golden_trace(golden, name):
+    assert operator_trace(name) == golden["operators"][name]
 
 
 if __name__ == "__main__":
