@@ -22,7 +22,6 @@ from .errors import (
     BaystowError,
     CapacityExceeded,
     CellEmpty,
-    DimensionMismatch,
     EmptyPopulation,
     InvalidArrangement,
     InvalidSpec,
@@ -31,7 +30,7 @@ from .errors import (
     ShapeMismatch,
     TooLarge,
 )
-from .evaluation import EvalResult, fitness, priority, rehandles
+from .evaluation import EvalResult, fitness, rehandles
 from .experiments import (
     SWEEP_KINDS,
     SweepPoint,
@@ -89,7 +88,6 @@ __all__ = [
     "CellEmpty",
     "Container",
     "CrossoverPlanes",
-    "DimensionMismatch",
     "EmptyPopulation",
     "EvalResult",
     "GaConfig",
@@ -120,7 +118,6 @@ __all__ = [
     "generate_instance",
     "init_population",
     "mutate",
-    "priority",
     "read_arrangement",
     "read_instance",
     "read_stats",

@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
 
 
 def mask_seed(seed: int) -> int:
-    """Reduce any integer to the unsigned 64-bit seed space."""
-    return seed & _MASK64
+    """Reduce any integer, numpy integers included, to the unsigned 64-bit seed space."""
+    return operator.index(seed) & _MASK64
 
 
 def derive_seed(*parts: int) -> int:

@@ -121,8 +121,8 @@ def shuffle_ids(arr: Arrangement, rng: np.random.Generator, swaps: int) -> Arran
     occupied = np.flatnonzero(vector)
     if swaps == 0 or occupied.size < 1:
         return arr
-    pairs = rng.integers(0, occupied.size, size=(swaps, 2))
-    vector[occupied] = _transpose_rows(vector[None, occupied], pairs[None])[0]
+    pairs = rng.integers(0, occupied.size, size=(swaps, 2)).reshape(1, swaps, 2)
+    vector[occupied] = _transpose_rows(vector[None, occupied], pairs)[0]
     return Arrangement.from_scan_vector(arr.dims, vector)
 
 

@@ -14,14 +14,7 @@ from pathlib import Path
 
 from .arrangement import validate
 from .bay import BayDims
-from .errors import (
-    BaystowError,
-    DimensionMismatch,
-    InvalidArrangement,
-    InvalidSpec,
-    ParseError,
-    ShapeMismatch,
-)
+from .errors import BaystowError, InvalidArrangement, InvalidSpec, ShapeMismatch
 from .experiments import SWEEP_KINDS, SweepSpec, run_sweep
 from .ga import GaConfig, run
 from .instances import GeneratorSpec, generate_instance
@@ -232,19 +225,13 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     try:
         return args.handler(args)
-    except (ParseError, DimensionMismatch) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (InvalidSpec, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except InvalidArrangement as exc:
         print(f"constraint violation: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except BaystowError as exc:
+    except (BaystowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

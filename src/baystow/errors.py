@@ -39,10 +39,6 @@ class ParseError(BaystowError):
     """A document could not be parsed; the message carries field or line context."""
 
 
-class DimensionMismatch(BaystowError):
-    """A parsed document declares more containers than the bay can hold."""
-
-
 class InvalidArrangement(BaystowError):
     """An arrangement failed constraint validation."""
 

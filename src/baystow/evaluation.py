@@ -13,7 +13,7 @@ from typing import Mapping
 import numpy as np
 
 from .arrangement import EMPTY, Arrangement, validate
-from .errors import InvalidArrangement, NonPositiveDate
+from .errors import InvalidArrangement
 from .instances import Instance
 
 
@@ -23,13 +23,6 @@ class EvalResult:
 
     fitness: float
     rehandles: Mapping[int, int]
-
-
-def priority(delivery_date: float) -> float:
-    """Reciprocal delivery date; earlier deliveries weigh rehandles more."""
-    if not delivery_date > 0:
-        raise NonPositiveDate(f"delivery date must be > 0, got {delivery_date!r}")
-    return 1.0 / delivery_date
 
 
 def _require_valid(arr: Arrangement, instance: Instance) -> None:

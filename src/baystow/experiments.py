@@ -47,6 +47,8 @@ class SweepSpec:
             raise InvalidSpec(f"kind must be one of {SWEEP_KINDS}, got {self.kind!r}")
         if not self.values:
             raise InvalidSpec("values must be non-empty")
+        if any(not isinstance(v, int) or isinstance(v, bool) for v in (*self.values, self.reps)):
+            raise InvalidSpec(f"values and reps must be integers, got {self.values}, {self.reps!r}")
         if any(v < 1 for v in self.values):
             raise InvalidSpec(f"swept values must be positive, got {self.values}")
         if any(b <= a for a, b in zip(self.values, self.values[1:])):

@@ -11,11 +11,12 @@ The crossover operator cuts an axis-aligned box out of the bay: the child
 keeps the first parent's ids inside the box and fills the remaining cells,
 in scan order, with the absent ids in the order they appear in the second
 parent. Internally individuals are stored as id sequences over the canonical
-scan order, which turns all operators into flat array operations; the public
-operators accept and return `Arrangement` values and share the same core, so
-a run is reproducible whether it is driven by `run` or stepped manually.
-Population init draws every row's transpositions in one call and applies
-each transposition step to all rows at once.
+scan order, which turns all operators into flat array operations. Each
+operator exists once: roulette selection is `_roulette`, every swap (init,
+mutation, `shuffle_ids`) is `arrangement._transpose_rows`, and crossover is
+`_order_fill`. The public operators accept and return `Arrangement` values
+and call that core, so a run is reproducible whether it is driven by `run`
+or stepped manually.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import mask_seed
-from .arrangement import Arrangement, _transpose_rows, validate
+from .arrangement import Arrangement, _transpose_rows, shuffle_ids, validate
 from .bay import BayDims, canonical_above_counts, scan_coords
 from .errors import EmptyPopulation, InvalidArrangement, ShapeMismatch
 from .instances import Instance
@@ -135,6 +136,12 @@ def _batch_fitness(seqs: np.ndarray, ctx: _Context) -> np.ndarray:
     return ctx.priorities[seqs - 1] @ ctx.above
 
 
+def _roulette(fits: np.ndarray, u: float | np.ndarray) -> np.ndarray:
+    """Indices drawn by roulette wheel over weights 1 / (1 + F), at uniforms `u` in [0, 1)."""
+    cumulative = np.cumsum(1.0 / (1.0 + fits))
+    return np.minimum(np.searchsorted(cumulative, u * cumulative[-1], side="right"), fits.size - 1)
+
+
 def _order_fill(keep: np.ndarray, donor: np.ndarray, region: np.ndarray, mark: np.ndarray) -> np.ndarray:
     """Child sequence: `keep`'s ids inside the region, absent ids in donor order elsewhere."""
     child = keep.copy()
@@ -165,10 +172,7 @@ def _step_seqs(
     """One generation over the sequence matrix; returns (population, fitness) sorted ascending."""
     n = cfg.pop_size
     n_pairs = (n + 1) // 2
-    weights = 1.0 / (1.0 + fits)
-    cumulative = np.cumsum(weights)
-    draws = rng.random((n_pairs, 2)) * cumulative[-1]
-    parents = np.minimum(np.searchsorted(cumulative, draws, side="right"), n - 1)
+    parents = _roulette(fits, rng.random((n_pairs, 2)))
     do_crossover = rng.random(n_pairs) < cfg.crossover_prob
     plane_highs = (ctx.dims.n1 + 1, ctx.dims.n2 + 1, ctx.dims.n3 + 1)
     planes = rng.integers(1, plane_highs, size=(n_pairs, 3))
@@ -188,12 +192,9 @@ def _step_seqs(
 
     mutate_flags = rng.random(n) < cfg.mutation_prob
     if ctx.nc:
-        swap_idx = rng.integers(0, ctx.nc, size=(n, 2))
-        rows = np.flatnonzero(mutate_flags)
-        a, b = swap_idx[rows, 0], swap_idx[rows, 1]
-        held = offspring[rows, a].copy()
-        offspring[rows, a] = offspring[rows, b]
-        offspring[rows, b] = held
+        # A row that does not mutate swaps position 0 with itself.
+        pairs = rng.integers(0, ctx.nc, size=(n, 2)) * mutate_flags[:, None]
+        offspring = _transpose_rows(offspring, pairs[:, None])
 
     if check is not None:
         check(offspring)
@@ -231,9 +232,7 @@ def roulette_select(fitnesses, rng: np.random.Generator) -> int:
         raise EmptyPopulation("cannot select from an empty population")
     if np.any(fits < 0) or not np.all(np.isfinite(fits)):
         raise ValueError("fitness values must be finite and non-negative")
-    cumulative = np.cumsum(1.0 / (1.0 + fits))
-    draw = rng.random() * cumulative[-1]
-    return int(min(np.searchsorted(cumulative, draw, side="right"), fits.size - 1))
+    return int(_roulette(fits, rng.random()))
 
 
 def crossover(
@@ -274,14 +273,7 @@ def crossover(
 
 def mutate(arr: Arrangement, rng: np.random.Generator) -> Arrangement:
     """Swap the ids of two occupied cells drawn uniformly (possibly the same cell)."""
-    vector = arr.scan_vector().copy()
-    occupied = np.flatnonzero(vector)
-    if occupied.size == 0:
-        return arr
-    a, b = rng.integers(0, occupied.size, size=2)
-    ia, ib = occupied[a], occupied[b]
-    vector[ia], vector[ib] = vector[ib], vector[ia]
-    return Arrangement.from_scan_vector(arr.dims, vector)
+    return shuffle_ids(arr, rng, 1)
 
 
 def evolve_step(
@@ -316,30 +308,18 @@ def run(instance: Instance, cfg: GaConfig) -> RunStats:
     ctx = _context(instance)
     check = _debug_check(instance) if cfg.validate_every_individual else None
 
-    started = time.perf_counter()
-    seqs = _init_seqs(ctx, cfg, rng)
-    fits = _batch_fitness(seqs, ctx)
-    if check is not None:
-        check(seqs)
-    records = [
-        GenerationRecord(
-            1,
-            float(fits.min()),
-            float(fits.mean()),
-            (time.perf_counter() - started) * 1e3,
-        )
-    ]
-    for generation in range(2, cfg.generations + 1):
+    records = []
+    for generation in range(1, cfg.generations + 1):
         started = time.perf_counter()
-        seqs, fits = _step_seqs(seqs, fits, ctx, cfg, rng, check)
-        records.append(
-            GenerationRecord(
-                generation,
-                float(fits[0]),
-                float(fits.mean()),
-                (time.perf_counter() - started) * 1e3,
-            )
-        )
+        if generation == 1:
+            seqs = _init_seqs(ctx, cfg, rng)
+            fits = _batch_fitness(seqs, ctx)
+            if check is not None:
+                check(seqs)
+        else:
+            seqs, fits = _step_seqs(seqs, fits, ctx, cfg, rng, check)
+        elapsed_ms = (time.perf_counter() - started) * 1e3
+        records.append(GenerationRecord(generation, float(fits.min()), float(fits.mean()), elapsed_ms))
     best_row = int(np.argmin(fits))
     best = Arrangement.from_id_sequence(instance.dims, seqs[best_row])
     return RunStats(tuple(records), best, float(fits[best_row]))

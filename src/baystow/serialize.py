@@ -5,7 +5,7 @@ typo in a hand-edited file surfaces as a ParseError naming the field instead
 of silently producing a different experiment. Structural problems in a file
 (bad JSON, wrong types, duplicate ids, coordinates outside the bay) raise
 ParseError; a container count that cannot fit the declared bay raises
-DimensionMismatch; whether an arrangement satisfies the stacking rules is
+CapacityExceeded; whether an arrangement satisfies the stacking rules is
 not a file concern and stays with `arrangement.validate`.
 """
 
@@ -20,7 +20,7 @@ import numpy as np
 
 from .arrangement import Arrangement
 from .bay import BayDims, Cell
-from .errors import DimensionMismatch, NonPositiveDate, ParseError
+from .errors import CapacityExceeded, NonPositiveDate, ParseError
 from .ga import GenerationRecord, RunStats
 from .instances import Container, Instance
 
@@ -95,7 +95,7 @@ def read_instance(path: str | Path) -> Instance:
     if not isinstance(raw, list):
         raise ParseError(f"{path}: containers: expected a list, got {type(raw).__name__}")
     if len(raw) > dims.capacity:
-        raise DimensionMismatch(
+        raise CapacityExceeded(
             f"{path}: {len(raw)} containers exceed bay capacity {dims.capacity}"
         )
     containers = []
@@ -137,7 +137,7 @@ def read_arrangement(path: str | Path) -> Arrangement:
     if not isinstance(raw, list):
         raise ParseError(f"{path}: cells: expected a list, got {type(raw).__name__}")
     if len(raw) > dims.capacity:
-        raise DimensionMismatch(f"{path}: {len(raw)} cells exceed bay capacity {dims.capacity}")
+        raise CapacityExceeded(f"{path}: {len(raw)} cells exceed bay capacity {dims.capacity}")
     assignments: dict[Cell, int] = {}
     seen_ids: set[int] = set()
     for index, item in enumerate(raw):
@@ -161,20 +161,23 @@ def read_arrangement(path: str | Path) -> Arrangement:
     return Arrangement(dims, grid)
 
 
-def write_stats(stats: RunStats, path: str | Path) -> None:
-    """One CSV row per generation under the fixed header."""
+def _write_csv(path: str | Path, header: tuple[str, ...], rows) -> None:
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(STATS_HEADER)
-        for record in stats.records:
-            writer.writerow(
-                (
-                    record.generation,
-                    _fmt(record.best_fitness),
-                    _fmt(record.mean_fitness),
-                    _fmt(record.elapsed_ms),
-                )
-            )
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_stats(stats: RunStats, path: str | Path) -> None:
+    """One CSV row per generation under the fixed header."""
+    _write_csv(
+        path,
+        STATS_HEADER,
+        (
+            (r.generation, _fmt(r.best_fitness), _fmt(r.mean_fitness), _fmt(r.elapsed_ms))
+            for r in stats.records
+        ),
+    )
 
 
 def read_stats(path: str | Path) -> tuple[GenerationRecord, ...]:
@@ -201,15 +204,11 @@ def read_stats(path: str | Path) -> tuple[GenerationRecord, ...]:
 
 def write_sweep_summary(rows, path: str | Path) -> None:
     """Per-point sweep means; `rows` yields objects with the four summary fields."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(SWEEP_HEADER)
-        for point in rows:
-            writer.writerow(
-                (
-                    point.swept_value,
-                    _fmt(point.mean_initial_best),
-                    _fmt(point.mean_final_best),
-                    _fmt(point.mean_elapsed_ms),
-                )
-            )
+    _write_csv(
+        path,
+        SWEEP_HEADER,
+        (
+            (p.swept_value, _fmt(p.mean_initial_best), _fmt(p.mean_final_best), _fmt(p.mean_elapsed_ms))
+            for p in rows
+        ),
+    )

@@ -77,6 +77,15 @@ class TestSolve:
         bad.write_text("{not json")
         assert solve(bad, tmp_path / "out") == 2
 
+    def test_overfull_instance_is_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({
+            "dims": {"n1": 1, "n2": 1, "n3": 2},
+            "containers": [{"id": i, "delivery_date": 1.0} for i in range(1, 4)],
+        }))
+        assert solve(path, tmp_path / "out") == 2
+        assert "exceed bay capacity" in capsys.readouterr().err
+
     def test_bad_probability_is_usage_error(self, tmp_path, instance_file):
         code = main(["solve", str(instance_file), "--pc", "1.7", "--out", str(tmp_path / "o")])
         assert code == 1

@@ -4,25 +4,12 @@ import pytest
 from baystow import (
     Arrangement,
     InvalidArrangement,
-    NonPositiveDate,
     canonical_fill,
     fitness,
-    priority,
     rehandles,
     shuffle_ids,
 )
 from conftest import make_instance
-
-
-class TestPriority:
-    @pytest.mark.parametrize("date,expected", [(1.0, 1.0), (2.0, 0.5), (4.0, 0.25)])
-    def test_reciprocal(self, date, expected):
-        assert priority(date) == expected
-
-    @pytest.mark.parametrize("bad", [0.0, -2.0, float("nan")])
-    def test_rejects_non_positive(self, bad):
-        with pytest.raises(NonPositiveDate):
-            priority(bad)
 
 
 class TestRehandles:

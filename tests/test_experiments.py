@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from baystow import (
@@ -36,10 +37,17 @@ class TestSweepSpec:
         with pytest.raises(InvalidSpec):
             SweepSpec("generations", (5, 10), config=tiny_config())
 
-    @pytest.mark.parametrize("values", [(), (0, 5), (5, 5), (10, 5)])
+    @pytest.mark.parametrize(
+        "values", [(), (0, 5), (5, 5), (10, 5), (True,), (4.0, 5.0), tuple(np.arange(4, 6))]
+    )
     def test_value_list_rules(self, values):
         with pytest.raises(InvalidSpec):
             SweepSpec("containers", values, config=tiny_config())
+
+    @pytest.mark.parametrize("reps", [0, 2.0, True])
+    def test_reps_rules(self, reps):
+        with pytest.raises(InvalidSpec):
+            SweepSpec("containers", (4, 8), config=tiny_config(), reps=reps)
 
     def test_unknown_kind(self):
         with pytest.raises(InvalidSpec):
@@ -123,6 +131,12 @@ class TestRunSweep:
         for point in result.points:
             finals = [r.stats.final_best for r in result.runs if r.swept_value == point.swept_value]
             assert point.mean_final_best == pytest.approx(sum(finals) / len(finals), rel=1e-12)
+
+    def test_numpy_integer_base_seed_matches_int(self):
+        spec = SweepSpec("containers", (4, 8), config=tiny_config(), base_seed=7)
+        a = run_sweep(spec)
+        b = run_sweep(SweepSpec("containers", (4, 8), config=tiny_config(), base_seed=np.int64(7)))
+        assert [r.stats.best for r in a.runs] == [r.stats.best for r in b.runs]
 
     def test_deterministic_modulo_clock(self):
         spec = SweepSpec("containers", (4, 8), config=tiny_config(), reps=2, base_seed=7)

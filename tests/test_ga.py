@@ -255,6 +255,17 @@ class TestRun:
         assert a.best == b.best
         assert a.best_fitness == b.best_fitness
 
+    def test_numpy_integer_seed_matches_int(self):
+        inst = small_instance(seed=2)
+        a = run(inst, GaConfig(pop_size=8, generations=10, seed=5))
+        b = run(inst, GaConfig(pop_size=8, generations=10, seed=np.int64(5)))
+        assert a.best == b.best
+        assert [r.best_fitness for r in a.records] == [r.best_fitness for r in b.records]
+
+    def test_float_seed_rejected(self):
+        with pytest.raises(TypeError):
+            run(small_instance(), GaConfig(pop_size=4, generations=2, seed=5.0))
+
     def test_best_sequence_non_increasing(self):
         inst = small_instance(seed=6)
         stats = run(inst, GaConfig(pop_size=12, generations=60, seed=1))

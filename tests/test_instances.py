@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -72,6 +74,10 @@ class TestGenerator:
         assert inst.n_containers == 64
         dates = np.array([c.delivery_date for c in inst.containers])
         assert np.all(dates >= 1.0) and np.all(dates <= 100.0)
+
+    def test_numpy_integer_seed_matches_int(self):
+        spec = GeneratorSpec(BayDims(2, 2, 2), 8, seed=1)
+        assert generate_instance(spec) == generate_instance(replace(spec, seed=np.int64(1)))
 
     def test_different_seeds_differ(self):
         a = generate_instance(GeneratorSpec(BayDims(2, 2, 2), 8, seed=1))

@@ -5,7 +5,7 @@ import pytest
 
 from baystow import (
     BayDims,
-    DimensionMismatch,
+    CapacityExceeded,
     GaConfig,
     GeneratorSpec,
     ParseError,
@@ -72,7 +72,7 @@ class TestInstanceFiles:
             "dims": {"n1": 1, "n2": 1, "n3": 2},
             "containers": [{"id": i, "delivery_date": 1.0} for i in range(1, 4)],
         }))
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(CapacityExceeded):
             read_instance(path)
 
     def test_malformed_json_reports_position(self, tmp_path):

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from baystow import (
+    Arrangement,
     BayDims,
+    GaConfig,
     GeneratorSpec,
     TooLarge,
     canonical_fill,
@@ -13,7 +17,19 @@ from baystow import (
     shuffle_ids,
     validate,
 )
+from baystow.ga import _batch_fitness, _context, _init_seqs
 from conftest import make_instance
+
+# Integer dates make priority ties likely; float dates make them rare.
+DATES = st.one_of(st.integers(1, 4).map(float), st.floats(0.01, 1000.0))
+
+
+@st.composite
+def instances(draw, max_nc):
+    """Random bay of up to 4x4x4 cells holding up to `max_nc` containers."""
+    dims = tuple(draw(st.integers(1, 4)) for _ in range(3))
+    nc = draw(st.integers(0, min(max_nc, int(np.prod(dims)))))
+    return make_instance(dims, draw(st.lists(DATES, min_size=nc, max_size=nc)))
 
 
 class TestExhaustive:
@@ -81,3 +97,24 @@ class TestRearrangement:
     def test_deterministic(self):
         inst = generate_instance(GeneratorSpec(BayDims(4, 4, 4), 64, seed=13))
         assert rearrangement_optimum(inst) == rearrangement_optimum(inst)
+
+
+class TestProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(instances(max_nc=64), st.integers(0, 2**32 - 1))
+    def test_batch_fitness_matches_fitness_and_bounds_optimum(self, inst, seed):
+        ctx = _context(inst)
+        seqs = _init_seqs(ctx, GaConfig(pop_size=4), np.random.default_rng(seed))
+        optimum = rearrangement_optimum(inst).optimal_fitness
+        for seq, batch in zip(seqs, _batch_fitness(seqs, ctx)):
+            expected = fitness(Arrangement.from_id_sequence(inst.dims, seq), inst).fitness
+            assert batch == pytest.approx(expected, rel=1e-12)
+            # The batch sums in scan order and the oracle in id order, so an
+            # optimal row may differ from the optimum in the last digits.
+            assert batch >= optimum * (1 - 1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(instances(max_nc=8))
+    def test_rearrangement_equals_exhaustive(self, inst):
+        re = rearrangement_optimum(inst).optimal_fitness
+        assert re == pytest.approx(exhaustive_optimum(inst).optimal_fitness, rel=1e-12)
