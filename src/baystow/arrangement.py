@@ -121,9 +121,8 @@ def shuffle_ids(arr: Arrangement, rng: np.random.Generator, swaps: int) -> Arran
     occupied = np.flatnonzero(vector)
     if swaps == 0 or occupied.size < 1:
         return arr
-    pairs = rng.integers(0, occupied.size, size=(swaps, 2)).reshape(1, swaps, 2)
-    vector[occupied] = _transpose_rows(vector[None, occupied], pairs)[0]
-    return Arrangement.from_scan_vector(arr.dims, vector)
+    pairs = occupied[rng.integers(0, occupied.size, size=(swaps, 2))].reshape(1, swaps, 2)
+    return Arrangement.from_scan_vector(arr.dims, _transpose_rows(vector[None], pairs)[0])
 
 
 def _transpose_rows(seqs: np.ndarray, pairs: np.ndarray) -> np.ndarray:
