@@ -14,7 +14,7 @@ from baystow import (
     fitness,
     generate_instance,
     rehandles,
-    scan_order,
+    scan_coords,
     shuffle_ids,
     validate,
 )
@@ -25,8 +25,8 @@ print(f"bay {dims}: floor capacity {dims.floor_capacity}, total capacity {dims.c
 
 # Cells are visited tier by tier, then across, then into the depth.
 print("\nscan order (x, y, z):")
-for i, cell in enumerate(scan_order(dims)):
-    print(f"  slot {i:2d} -> {tuple(cell)}")
+for i, (x, y, z) in enumerate(zip(*scan_coords(dims))):
+    print(f"  slot {i:2d} -> ({x}, {y}, {z})")
 
 # An instance adds containers with delivery dates in [1, 100);
 # earlier dates mean higher priority 1/date.

@@ -17,7 +17,7 @@ from .arrangement import (
     shuffle_ids,
     validate,
 )
-from .bay import BayDims, Cell, canonical_above_counts, scan_order
+from .bay import BayDims, Cell, canonical_above_counts, scan_coords
 from .errors import (
     BaystowError,
     CapacityExceeded,
@@ -126,7 +126,7 @@ __all__ = [
     "roulette_select",
     "run",
     "run_sweep",
-    "scan_order",
+    "scan_coords",
     "shuffle_ids",
     "sweep_instance",
     "validate",

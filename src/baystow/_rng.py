@@ -9,6 +9,17 @@ import numpy as np
 _MASK64 = (1 << 64) - 1
 
 
+def is_seed(value) -> bool:
+    """True for an integer seed, numpy integers included; False for bools and non-integers."""
+    if isinstance(value, (bool, np.bool_)):
+        return False
+    try:
+        operator.index(value)
+    except TypeError:
+        return False
+    return True
+
+
 def mask_seed(seed: int) -> int:
     """Reduce any integer, numpy integers included, to the unsigned 64-bit seed space."""
     return operator.index(seed) & _MASK64

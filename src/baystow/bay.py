@@ -51,29 +51,11 @@ class BayDims:
         """Total cell count of the bay."""
         return self.n1 * self.n2 * self.n3
 
-    @property
-    def n_floors(self) -> int:
-        return self.n3
-
     def contains(self, cell: Cell) -> bool:
         return 0 <= cell.x < self.n1 and 0 <= cell.y < self.n2 and 0 <= cell.z < self.n3
 
     def __str__(self) -> str:
         return f"{self.n1}x{self.n2}x{self.n3}"
-
-
-def scan_order(dims: BayDims) -> list[Cell]:
-    """All cells of the bay in canonical fill order.
-
-    Floors are visited bottom-up (z outermost), then x, then y. The result
-    has exactly ``dims.capacity`` entries, each cell appearing once.
-    """
-    return [
-        Cell(x, y, z)
-        for z in range(dims.n3)
-        for x in range(dims.n1)
-        for y in range(dims.n2)
-    ]
 
 
 @lru_cache(maxsize=None)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from ._rng import derive_seed
+from ._rng import derive_seed, is_seed
 from .bay import BayDims
 from .errors import InvalidSpec
 from .ga import GaConfig, RunStats, run
@@ -55,6 +55,8 @@ class SweepSpec:
             raise InvalidSpec(f"swept values must be strictly increasing, got {self.values}")
         if self.reps < 1:
             raise InvalidSpec(f"reps must be >= 1, got {self.reps}")
+        if not is_seed(self.base_seed):
+            raise InvalidSpec(f"base_seed must be an integer, got {self.base_seed!r}")
         if not 0 < self.date_min <= self.date_max:
             raise InvalidSpec(f"need 0 < date_min <= date_max, got [{self.date_min}, {self.date_max}]")
         if self.kind == "containers":

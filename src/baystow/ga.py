@@ -16,7 +16,9 @@ operator exists once: roulette selection is `_roulette`, every swap (init,
 mutation, `shuffle_ids`) is `arrangement._transpose_rows`, and crossover is
 `_order_fill`. The public operators accept and return `Arrangement` values
 and call that core, so a run is reproducible whether it is driven by `run`
-or stepped manually.
+or stepped manually. The core reads each per-instance constant from its
+one owner: priorities from `Instance.priority_vector()`, built once per
+instance, and above-counts and scan coordinates from the cached `bay` ones.
 """
 
 from __future__ import annotations
@@ -26,9 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rng import mask_seed
+from ._rng import is_seed, mask_seed
 from .arrangement import Arrangement, _transpose_rows, shuffle_ids, validate
-from .bay import BayDims, canonical_above_counts, scan_coords
+from .bay import canonical_above_counts, scan_coords
 from .errors import EmptyPopulation, InvalidArrangement, ShapeMismatch
 from .instances import Instance
 
@@ -51,6 +53,8 @@ class GaConfig:
     validate_every_individual: bool = False
 
     def __post_init__(self) -> None:
+        if not is_seed(self.seed):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         _require_int("pop_size", self.pop_size, 1)
         _require_int("generations", self.generations, 1)
         if self.init_swaps is not None:
@@ -101,39 +105,10 @@ class RunStats:
         return sum(r.elapsed_ms for r in self.records)
 
 
-@dataclass(frozen=True)
-class _Context:
-    """Per-instance constants the engine core works against."""
-
-    dims: BayDims
-    nc: int
-    priorities: np.ndarray  # indexed by id - 1
-    above: np.ndarray  # rehandles per occupied scan position under canonical fill
-    xs: np.ndarray  # coordinates of the occupied scan positions
-    ys: np.ndarray
-    zs: np.ndarray
-
-
-def _context(instance: Instance) -> _Context:
-    dims = instance.dims
-    nc = instance.n_containers
-    xs, ys, zs = scan_coords(dims)
-    return _Context(
-        dims,
-        nc,
-        instance.priority_vector(),
-        canonical_above_counts(dims, nc),
-        xs[:nc],
-        ys[:nc],
-        zs[:nc],
-    )
-
-
-def _batch_fitness(seqs: np.ndarray, ctx: _Context) -> np.ndarray:
+def _batch_fitness(seqs: np.ndarray, instance: Instance) -> np.ndarray:
     """Fitness of each row of an id-sequence matrix."""
-    if ctx.nc == 0:
-        return np.zeros(len(seqs))
-    return ctx.priorities[seqs - 1] @ ctx.above
+    above = canonical_above_counts(instance.dims, instance.n_containers)
+    return instance.priority_vector()[seqs - 1] @ above
 
 
 def _roulette(fits: np.ndarray, u: float | np.ndarray) -> np.ndarray:
@@ -151,38 +126,51 @@ def _order_fill(keep: np.ndarray, donor: np.ndarray, region: np.ndarray, mark: n
     return child
 
 
-def _init_seqs(ctx: _Context, cfg: GaConfig, rng: np.random.Generator) -> np.ndarray:
+def _check(seqs: np.ndarray, instance: Instance, cfg: GaConfig) -> None:
+    """Validate every row as an arrangement if `cfg.validate_every_individual` is set."""
+    if not cfg.validate_every_individual:
+        return
+    for seq in seqs:
+        violations = validate(Arrangement.from_id_sequence(instance.dims, seq), instance)
+        if violations:
+            raise InvalidArrangement(violations)
+
+
+def _init_seqs(instance: Instance, cfg: GaConfig, rng: np.random.Generator) -> np.ndarray:
     """Population matrix: canonical order per row, then `init_swaps` transpositions."""
-    swaps = cfg.init_swaps if cfg.init_swaps is not None else ctx.nc
-    seqs = np.tile(np.arange(1, ctx.nc + 1, dtype=np.int64), (cfg.pop_size, 1))
-    if swaps and ctx.nc:
+    nc = instance.n_containers
+    swaps = cfg.init_swaps if cfg.init_swaps is not None else nc
+    seqs = np.tile(np.arange(1, nc + 1, dtype=np.int64), (cfg.pop_size, 1))
+    if swaps and nc:
         # One draw fills the rows in order, matching per-row draws number for number.
-        seqs = _transpose_rows(seqs, rng.integers(0, ctx.nc, size=(cfg.pop_size, swaps, 2)))
+        seqs = _transpose_rows(seqs, rng.integers(0, nc, size=(cfg.pop_size, swaps, 2)))
+    _check(seqs, instance, cfg)
     return seqs
 
 
 def _step_seqs(
     seqs: np.ndarray,
     fits: np.ndarray,
-    ctx: _Context,
+    instance: Instance,
     cfg: GaConfig,
     rng: np.random.Generator,
-    check=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One generation over the sequence matrix; returns (population, fitness) sorted ascending."""
+    dims, nc = instance.dims, instance.n_containers
+    xs, ys, zs = (axis[:nc] for axis in scan_coords(dims))
     n = cfg.pop_size
     n_pairs = (n + 1) // 2
     parents = _roulette(fits, rng.random((n_pairs, 2)))
     do_crossover = rng.random(n_pairs) < cfg.crossover_prob
-    plane_highs = (ctx.dims.n1 + 1, ctx.dims.n2 + 1, ctx.dims.n3 + 1)
+    plane_highs = (dims.n1 + 1, dims.n2 + 1, dims.n3 + 1)
     planes = rng.integers(1, plane_highs, size=(n_pairs, 3))
 
-    children = np.empty((2 * n_pairs, ctx.nc), dtype=np.int64)
-    mark = np.zeros(ctx.nc + 1, dtype=bool)
+    children = np.empty((2 * n_pairs, nc), dtype=np.int64)
+    mark = np.zeros(nc + 1, dtype=bool)
     for p in range(n_pairs):
         i, j = parents[p]
         if do_crossover[p]:
-            region = (ctx.xs < planes[p, 0]) & (ctx.ys < planes[p, 1]) & (ctx.zs < planes[p, 2])
+            region = (xs < planes[p, 0]) & (ys < planes[p, 1]) & (zs < planes[p, 2])
             children[2 * p] = _order_fill(seqs[i], seqs[j], region, mark)
             children[2 * p + 1] = _order_fill(seqs[j], seqs[i], region, mark)
         else:
@@ -191,38 +179,21 @@ def _step_seqs(
     offspring = children[:n]
 
     mutate_flags = rng.random(n) < cfg.mutation_prob
-    if ctx.nc:
+    if nc:
         # A row that does not mutate swaps position 0 with itself.
-        pairs = rng.integers(0, ctx.nc, size=(n, 2)) * mutate_flags[:, None]
+        pairs = rng.integers(0, nc, size=(n, 2)) * mutate_flags[:, None]
         offspring = _transpose_rows(offspring, pairs[:, None])
-
-    if check is not None:
-        check(offspring)
+    _check(offspring, instance, cfg)
 
     merged = np.concatenate([seqs, offspring])
-    merged_fits = np.concatenate([fits, _batch_fitness(offspring, ctx)])
+    merged_fits = np.concatenate([fits, _batch_fitness(offspring, instance)])
     order = np.argsort(merged_fits, kind="stable")[:n]
     return merged[order], merged_fits[order]
 
 
-def _debug_check(instance: Instance):
-    def check(seqs: np.ndarray) -> None:
-        for seq in seqs:
-            arr = Arrangement.from_id_sequence(instance.dims, seq)
-            violations = validate(arr, instance)
-            if violations:
-                raise InvalidArrangement(violations)
-
-    return check
-
-
 def init_population(instance: Instance, cfg: GaConfig, rng: np.random.Generator) -> list[Arrangement]:
     """N arrangements, each a shuffled canonical fill; all satisfy the constraints."""
-    ctx = _context(instance)
-    seqs = _init_seqs(ctx, cfg, rng)
-    if cfg.validate_every_individual:
-        _debug_check(instance)(seqs)
-    return [Arrangement.from_id_sequence(instance.dims, s) for s in seqs]
+    return [Arrangement.from_id_sequence(instance.dims, s) for s in _init_seqs(instance, cfg, rng)]
 
 
 def roulette_select(fitnesses, rng: np.random.Generator) -> int:
@@ -289,11 +260,8 @@ def evolve_step(
     """
     if len(population) != cfg.pop_size:
         raise ValueError(f"population size {len(population)} != cfg.pop_size {cfg.pop_size}")
-    ctx = _context(instance)
     seqs = np.stack([arr.id_sequence() for arr in population])
-    fits = _batch_fitness(seqs, ctx)
-    check = _debug_check(instance) if cfg.validate_every_individual else None
-    new_seqs, _ = _step_seqs(seqs, fits, ctx, cfg, rng, check)
+    new_seqs, _ = _step_seqs(seqs, _batch_fitness(seqs, instance), instance, cfg, rng)
     return [Arrangement.from_id_sequence(instance.dims, s) for s in new_seqs]
 
 
@@ -305,19 +273,14 @@ def run(instance: Instance, cfg: GaConfig) -> RunStats:
     for the wall-clock `elapsed_ms` fields.
     """
     rng = np.random.default_rng(mask_seed(cfg.seed))
-    ctx = _context(instance)
-    check = _debug_check(instance) if cfg.validate_every_individual else None
-
     records = []
     for generation in range(1, cfg.generations + 1):
         started = time.perf_counter()
         if generation == 1:
-            seqs = _init_seqs(ctx, cfg, rng)
-            fits = _batch_fitness(seqs, ctx)
-            if check is not None:
-                check(seqs)
+            seqs = _init_seqs(instance, cfg, rng)
+            fits = _batch_fitness(seqs, instance)
         else:
-            seqs, fits = _step_seqs(seqs, fits, ctx, cfg, rng, check)
+            seqs, fits = _step_seqs(seqs, fits, instance, cfg, rng)
         elapsed_ms = (time.perf_counter() - started) * 1e3
         records.append(GenerationRecord(generation, float(fits.min()), float(fits.mean()), elapsed_ms))
     best_row = int(np.argmin(fits))

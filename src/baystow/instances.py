@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rng import mask_seed
+from ._rng import is_seed, mask_seed
 from .bay import BayDims
 from .errors import CapacityExceeded, InvalidSpec, NonPositiveDate
 
@@ -54,17 +54,21 @@ class Instance:
         ids = sorted(c.id for c in self.containers)
         if ids != list(range(1, nc + 1)):
             raise ValueError(f"container ids must be exactly 1..{nc}, got {ids}")
+        # Built after the id check, so every id fits an int64 index.
+        positions = np.fromiter((c.id - 1 for c in self.containers), np.int64, nc)
+        dates = np.fromiter((c.delivery_date for c in self.containers), np.float64, nc)
+        priorities = np.empty(nc)
+        priorities[positions] = 1.0 / dates
+        priorities.setflags(write=False)
+        object.__setattr__(self, "_priorities", priorities)
 
     @property
     def n_containers(self) -> int:
         return len(self.containers)
 
     def priority_vector(self) -> np.ndarray:
-        """Priorities indexed by id - 1 (ascending id order)."""
-        out = np.empty(self.n_containers, dtype=np.float64)
-        for c in self.containers:
-            out[c.id - 1] = c.priority
-        return out
+        """Priorities indexed by id - 1: one read-only array, built at construction."""
+        return self._priorities
 
 
 @dataclass(frozen=True)
@@ -78,6 +82,8 @@ class GeneratorSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if not is_seed(self.seed):
+            raise InvalidSpec(f"seed must be an integer, got {self.seed!r}")
         if self.n_containers < 1:
             raise InvalidSpec(f"n_containers must be >= 1, got {self.n_containers}")
         if self.n_containers > self.dims.capacity:

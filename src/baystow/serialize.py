@@ -149,8 +149,8 @@ def read_arrangement(path: str | Path) -> Arrangement:
         if cell in assignments:
             raise ParseError(f"{where}: duplicate cell {tuple(cell)}")
         cid = _require_int(obj["id"], f"{where}.id")
-        if cid < 1:
-            raise ParseError(f"{where}.id: container ids start at 1, got {cid}")
+        if not 1 <= cid <= dims.capacity:
+            raise ParseError(f"{where}.id: container ids must be in 1..{dims.capacity}, got {cid}")
         if cid in seen_ids:
             raise ParseError(f"{where}: duplicate container id {cid}")
         assignments[cell] = cid

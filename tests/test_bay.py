@@ -1,12 +1,26 @@
 import numpy as np
 import pytest
 
-from baystow import BayDims, CapacityExceeded, Cell, canonical_above_counts, scan_order
-from baystow.bay import scan_coords
+from baystow import BayDims, CapacityExceeded, Cell, canonical_above_counts, scan_coords
 
 
 def cells(pairs):
     return [Cell(*p) for p in pairs]
+
+
+def scan_order(dims):
+    """Reference enumeration of the canonical scan order: z outermost, then x, then y."""
+    return [
+        Cell(x, y, z)
+        for z in range(dims.n3)
+        for x in range(dims.n1)
+        for y in range(dims.n2)
+    ]
+
+
+def scan_cells(dims):
+    """The scan order as `scan_coords` gives it, one cell per scan position."""
+    return [Cell(*xyz) for xyz in zip(*(axis.tolist() for axis in scan_coords(dims)))]
 
 
 class TestBayDims:
@@ -14,7 +28,6 @@ class TestBayDims:
         dims = BayDims(4, 5, 6)
         assert dims.floor_capacity == 20
         assert dims.capacity == 120
-        assert dims.n_floors == 6
 
     @pytest.mark.parametrize("bad", [(0, 1, 1), (1, -1, 1), (1, 1, 0)])
     def test_rejects_non_positive(self, bad):
@@ -37,10 +50,10 @@ class TestBayDims:
 
 class TestScanOrder:
     def test_single_column(self):
-        assert scan_order(BayDims(1, 1, 2)) == cells([(0, 0, 0), (0, 0, 1)])
+        assert scan_cells(BayDims(1, 1, 2)) == cells([(0, 0, 0), (0, 0, 1)])
 
     def test_single_floor_row(self):
-        assert scan_order(BayDims(2, 1, 1)) == cells([(0, 0, 0), (1, 0, 0)])
+        assert scan_cells(BayDims(2, 1, 1)) == cells([(0, 0, 0), (1, 0, 0)])
 
     def test_2x2x2_enumeration(self):
         # floor z=0 fully before floor z=1; within a floor x before y
@@ -56,21 +69,19 @@ class TestScanOrder:
                 (1, 1, 1),
             ]
         )
-        assert scan_order(BayDims(2, 2, 2)) == expected
+        assert scan_cells(BayDims(2, 2, 2)) == expected == scan_order(BayDims(2, 2, 2))
 
     @pytest.mark.parametrize("dims", [(1, 1, 1), (3, 2, 4), (5, 5, 5), (7, 3, 2)])
     def test_covers_every_cell_once(self, dims):
         d = BayDims(*dims)
-        order = scan_order(d)
+        order = scan_cells(d)
         assert len(order) == d.capacity
         assert len(set(order)) == d.capacity
         assert all(d.contains(c) for c in order)
 
     def test_scan_coords_match_scan_order(self):
-        d = BayDims(3, 4, 2)
-        xs, ys, zs = scan_coords(d)
-        order = scan_order(d)
-        assert [Cell(x, y, z) for x, y, z in zip(xs, ys, zs)] == order
+        for d in (BayDims(3, 4, 2), BayDims(1, 5, 3), BayDims(4, 1, 1)):
+            assert scan_cells(d) == scan_order(d)
 
     def test_scan_coords_read_only(self):
         xs, _, _ = scan_coords(BayDims(2, 2, 2))

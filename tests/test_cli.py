@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from baystow import read_instance, read_stats
+from baystow import canonical_fill, read_instance, read_stats, write_arrangement
 from baystow.cli import main
 
 
@@ -118,6 +118,27 @@ class TestValidate:
             ],
         }))
         assert main(["validate", str(instance_file), str(dup)]) == 2
+
+    @pytest.mark.parametrize(
+        "role, document",
+        [
+            ("arrangement", {
+                "dims": {"n1": 2, "n2": 2, "n3": 2},
+                "cells": [{"x": 0, "y": 0, "z": 0, "id": 10**29}],
+            }),
+            ("instance", {
+                "dims": {"n1": 2, "n2": 2, "n3": 2},
+                "containers": [{"id": 1, "delivery_date": 1.0}, {"id": 10**29, "delivery_date": 1.0}],
+            }),
+        ],
+    )
+    def test_huge_id_is_parse_error(self, tmp_path, instance_file, capsys, role, document):
+        files = {"instance": instance_file, "arrangement": tmp_path / "arr.json"}
+        write_arrangement(canonical_fill(read_instance(instance_file)), files["arrangement"])
+        files[role] = tmp_path / "huge.json"
+        files[role].write_text(json.dumps(document))
+        assert main(["validate", str(files["instance"]), str(files["arrangement"])]) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_dims_mismatch_is_constraint_failure(self, tmp_path, instance_file):
         other = tmp_path / "other.json"

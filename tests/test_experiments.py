@@ -49,6 +49,11 @@ class TestSweepSpec:
         with pytest.raises(InvalidSpec):
             SweepSpec("containers", (4, 8), config=tiny_config(), reps=reps)
 
+    @pytest.mark.parametrize("base_seed", [1.5, True, "3"])
+    def test_base_seed_rules(self, base_seed):
+        with pytest.raises(InvalidSpec):
+            SweepSpec("containers", (4, 8), config=tiny_config(), base_seed=base_seed)
+
     def test_unknown_kind(self):
         with pytest.raises(InvalidSpec):
             SweepSpec("elitism", (1, 2), config=tiny_config())

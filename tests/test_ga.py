@@ -1,14 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import baystow.ga
 from baystow import (
+    EMPTY,
     Arrangement,
     BayDims,
+    Container,
     CrossoverPlanes,
     EmptyPopulation,
     GaConfig,
     GeneratorSpec,
+    Instance,
     InvalidArrangement,
     ShapeMismatch,
     canonical_fill,
@@ -20,6 +25,7 @@ from baystow import (
     mutate,
     roulette_select,
     run,
+    scan_coords,
     shuffle_ids,
     validate,
 )
@@ -62,6 +68,9 @@ class TestGaConfig:
             {"generations": 10.0},
             {"init_swaps": True},
             {"init_swaps": 1.5},
+            {"seed": 2.5},
+            {"seed": True},
+            {"seed": "7"},
         ],
     )
     def test_bounds(self, kwargs):
@@ -171,6 +180,35 @@ class TestCrossover:
             crossover(arr, arr, CrossoverPlanes(3, 1, 1))
 
 
+@st.composite
+def crossover_cases(draw):
+    """Random bay up to 5x5x5, two shuffled parents over its canonical occupancy, in-bounds planes."""
+    dims = BayDims(*(draw(st.integers(1, 5)) for _ in range(3)))
+    nc = draw(st.integers(0, dims.capacity))
+    inst = Instance(dims, tuple(Container(i + 1, 1.0) for i in range(nc)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p1, p2 = (shuffle_ids(canonical_fill(inst), rng, nc) for _ in range(2))
+    planes = CrossoverPlanes(*(draw(st.integers(0, n)) for n in (dims.n1, dims.n2, dims.n3)))
+    return inst, p1, p2, planes
+
+
+@settings(max_examples=100, deadline=None)
+@given(crossover_cases())
+def test_crossover_keeps_box_and_fills_in_donor_order(case):
+    """Davis-style order crossover: the box comes from the keeper, the rest in donor order."""
+    inst, p1, p2, planes = case
+    xs, ys, zs = scan_coords(inst.dims)
+    box = (xs < planes.px) & (ys < planes.py) & (zs < planes.pz)
+    c1, c2 = crossover(p1, p2, planes)
+    for keeper, donor, child in ((p1, p2, c1), (p2, p1, c2)):
+        assert validate(child, inst) == []
+        keep_ids, donor_ids, child_ids = keeper.scan_vector(), donor.scan_vector(), child.scan_vector()
+        np.testing.assert_array_equal(child_ids[box], keep_ids[box])
+        in_box = set(keep_ids[box].tolist())
+        rest = [i for i in donor_ids.tolist() if i != EMPTY and i not in in_box]
+        assert [i for i in child_ids[~box].tolist() if i != EMPTY] == rest
+
+
 class TestMutate:
     def test_single_container_unchanged(self, rng):
         inst = make_instance((2, 2, 2), [1.0])
@@ -263,7 +301,7 @@ class TestRun:
         assert [r.best_fitness for r in a.records] == [r.best_fitness for r in b.records]
 
     def test_float_seed_rejected(self):
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError):
             run(small_instance(), GaConfig(pop_size=4, generations=2, seed=5.0))
 
     def test_best_sequence_non_increasing(self):

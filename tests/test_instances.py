@@ -39,6 +39,9 @@ class TestInstance:
     def test_priority_vector_indexed_by_id(self):
         inst = make_instance((2, 2, 1), [1.0, 2.0, 4.0])
         assert inst.priority_vector().tolist() == [1.0, 0.5, 0.25]
+        assert inst.priority_vector() is inst.priority_vector()
+        with pytest.raises(ValueError):
+            inst.priority_vector()[0] = 2.0
 
     def test_ids_must_be_consecutive_from_one(self):
         containers = (Container(1, 1.0), Container(3, 1.0))
@@ -91,6 +94,8 @@ class TestGenerator:
             {"n_containers": 9},
             {"date_min": 0.0},
             {"date_min": 5.0, "date_max": 2.0},
+            {"seed": 1.5},
+            {"seed": True},
         ],
     )
     def test_invalid_spec(self, kwargs):

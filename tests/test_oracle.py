@@ -17,7 +17,7 @@ from baystow import (
     shuffle_ids,
     validate,
 )
-from baystow.ga import _batch_fitness, _context, _init_seqs
+from baystow.ga import _batch_fitness, _init_seqs
 from conftest import make_instance
 
 # Integer dates make priority ties likely; float dates make them rare.
@@ -103,10 +103,9 @@ class TestProperties:
     @settings(max_examples=100, deadline=None)
     @given(instances(max_nc=64), st.integers(0, 2**32 - 1))
     def test_batch_fitness_matches_fitness_and_bounds_optimum(self, inst, seed):
-        ctx = _context(inst)
-        seqs = _init_seqs(ctx, GaConfig(pop_size=4), np.random.default_rng(seed))
+        seqs = _init_seqs(inst, GaConfig(pop_size=4), np.random.default_rng(seed))
         optimum = rearrangement_optimum(inst).optimal_fitness
-        for seq, batch in zip(seqs, _batch_fitness(seqs, ctx)):
+        for seq, batch in zip(seqs, _batch_fitness(seqs, inst)):
             expected = fitness(Arrangement.from_id_sequence(inst.dims, seq), inst).fitness
             assert batch == pytest.approx(expected, rel=1e-12)
             # The batch sums in scan order and the oracle in id order, so an

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from baystow import BayDims, Container, GaConfig, Instance, canonical_fill, shuffle_ids
 from baystow.arrangement import Arrangement
-from baystow.ga import _context, _init_seqs
+from baystow.ga import _init_seqs
 
 SEEDS = st.integers(0, 2**32 - 1)
 
@@ -56,9 +56,8 @@ def init_cases(draw):
 @given(init_cases())
 def test_init_matches_per_row_reference(case):
     pop, nc, swaps, seed = case
-    ctx = _context(line_instance(nc))
     rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = _init_seqs(ctx, GaConfig(pop_size=pop, init_swaps=swaps), rng_new)
+    got = _init_seqs(line_instance(nc), GaConfig(pop_size=pop, init_swaps=swaps), rng_new)
     expected = reference_init(nc, pop, swaps, rng_ref)
     assert got.shape == (pop, nc)
     np.testing.assert_array_equal(got, expected)
