@@ -6,18 +6,15 @@ import operator
 
 import numpy as np
 
+from .errors import InvalidSpec
+
 _MASK64 = (1 << 64) - 1
 
 
-def is_seed(value) -> bool:
-    """True for an integer seed, numpy integers included; False for bools and non-integers."""
-    if isinstance(value, (bool, np.bool_)):
-        return False
-    try:
-        operator.index(value)
-    except TypeError:
-        return False
-    return True
+def require_seed(name: str, value) -> None:
+    """Raise InvalidSpec unless `value` is an integer seed; numpy integers pass, bools do not."""
+    if isinstance(value, (bool, np.bool_)) or not hasattr(type(value), "__index__"):
+        raise InvalidSpec(f"{name} must be an integer, got {value!r}")
 
 
 def mask_seed(seed: int) -> int:

@@ -100,12 +100,7 @@ class Violation:
 
 def canonical_fill(instance: Instance) -> Arrangement:
     """Place ids 1..Nc into the first Nc cells of scan order."""
-    nc = instance.n_containers
-    if nc > instance.dims.capacity:
-        raise CapacityExceeded(
-            f"{nc} containers exceed bay capacity {instance.dims.capacity}"
-        )
-    return Arrangement.from_id_sequence(instance.dims, np.arange(1, nc + 1, dtype=np.int64))
+    return Arrangement.from_id_sequence(instance.dims, np.arange(1, instance.n_containers + 1))
 
 
 def shuffle_ids(arr: Arrangement, rng: np.random.Generator, swaps: int) -> Arrangement:

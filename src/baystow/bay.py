@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CapacityExceeded
+from .errors import CapacityExceeded, require_int
 
 
 class Cell(NamedTuple):
@@ -37,9 +37,7 @@ class BayDims:
 
     def __post_init__(self) -> None:
         for name in ("n1", "n2", "n3"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+            require_int(name, getattr(self, name), 1)
 
     @property
     def floor_capacity(self) -> int:

@@ -1,9 +1,12 @@
 """Command-line front end: generate instances, solve, validate, run sweeps.
 
-Exit statuses: 0 success, 1 usage error (bad flags or spec), 2 parse error
-(unreadable or malformed files), 3 constraint violation (an arrangement that
-breaks the stacking rules). argparse's own exit-on-error behavior is
-replaced so that usage problems report status 1 rather than 2.
+Exit statuses: 0 success, 1 usage error (a bad flag, or a value rejected
+with InvalidSpec), 2 parse error (unreadable, undecodable, malformed or
+unallocatable files), 3 constraint violation (an arrangement that breaks the
+stacking rules), 4 internal error (any other exception, on one line with its
+type). The parser raises InvalidSpec instead of exiting, so usage problems
+report 1, not argparse's 2. Flag defaults are read from the dataclasses
+that own them.
 """
 
 from __future__ import annotations
@@ -28,15 +31,11 @@ from .serialize import (
 )
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
-    """argparse parser that reports usage errors instead of exiting."""
+    """argparse parser that raises InvalidSpec instead of exiting."""
 
     def error(self, message: str) -> None:
-        raise _UsageError(message)
+        raise InvalidSpec(message)
 
 
 def _dims_arg(text: str) -> BayDims:
@@ -44,13 +43,9 @@ def _dims_arg(text: str) -> BayDims:
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"expected N1xN2xN3 (e.g. 4x4x4), got {text!r}")
     try:
-        n1, n2, n3 = (int(part) for part in parts)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"dims components must be integers, got {text!r}")
-    try:
-        return BayDims(n1, n2, n3)
+        return BayDims(*(int(part) for part in parts))
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
+        raise argparse.ArgumentTypeError(f"invalid dims {text!r}: {exc}")
 
 
 def _date_range_arg(text: str) -> tuple[float, float]:
@@ -70,11 +65,26 @@ def _values_arg(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
+def _add_flag(sub: argparse.ArgumentParser, flag: str, owner: type, field: str, text: str) -> None:
+    """A flag whose default is `owner`'s class attribute `field`, typed like that default."""
+    default = getattr(owner, field)
+    sub.add_argument(flag, type=type(default), default=default, help=f"{text} (default %(default)s)")
+
+
 def _add_ga_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--pop-size", type=int, default=50, help="population size (default 50)")
-    sub.add_argument("--generations", type=int, default=100, help="generations to run (default 100)")
-    sub.add_argument("--pc", type=float, default=0.8, help="crossover probability (default 0.8)")
-    sub.add_argument("--pm", type=float, default=0.1, help="mutation probability (default 0.1)")
+    _add_flag(sub, "--pop-size", GaConfig, "pop_size", "population size")
+    _add_flag(sub, "--generations", GaConfig, "generations", "generations to run")
+    _add_flag(sub, "--pc", GaConfig, "crossover_prob", "crossover probability")
+    _add_flag(sub, "--pm", GaConfig, "mutation_prob", "mutation probability")
+
+
+def _add_date_range_flag(sub: argparse.ArgumentParser, owner: type) -> None:
+    sub.add_argument(
+        "--date-range",
+        type=_date_range_arg,
+        default=(owner.date_min, owner.date_max),
+        help=f"delivery date bounds LO:HI (default {owner.date_min:g}:{owner.date_max:g})",
+    )
 
 
 def _ga_config(args: argparse.Namespace, seed: int) -> GaConfig:
@@ -94,20 +104,15 @@ def build_parser() -> _Parser:
     gen = commands.add_parser("generate", help="write a random instance file")
     gen.add_argument("--dims", type=_dims_arg, required=True, help="bay size as N1xN2xN3")
     gen.add_argument("--nc", type=int, required=True, help="number of containers")
-    gen.add_argument(
-        "--date-range",
-        type=_date_range_arg,
-        default=(1.0, 100.0),
-        help="delivery date bounds LO:HI (default 1:100)",
-    )
-    gen.add_argument("--seed", type=int, default=0, help="generation seed (default 0)")
+    _add_date_range_flag(gen, GeneratorSpec)
+    _add_flag(gen, "--seed", GeneratorSpec, "seed", "generation seed")
     gen.add_argument("--out", required=True, help="instance file to write")
     gen.set_defaults(handler=cmd_generate)
 
     solve = commands.add_parser("solve", help="evolve an arrangement for an instance file")
     solve.add_argument("instance", help="instance file")
     _add_ga_flags(solve)
-    solve.add_argument("--seed", type=int, default=0, help="run seed (default 0)")
+    _add_flag(solve, "--seed", GaConfig, "seed", "run seed")
     solve.add_argument(
         "--out", required=True, help="output directory for stats.csv and best.json"
     )
@@ -126,14 +131,9 @@ def build_parser() -> _Parser:
     _add_ga_flags(sweep)
     sweep.add_argument("--dims", type=_dims_arg, help="bay size (generations/population sweeps)")
     sweep.add_argument("--nc", type=int, help="container count (generations/population sweeps)")
-    sweep.add_argument(
-        "--date-range",
-        type=_date_range_arg,
-        default=(1.0, 100.0),
-        help="delivery date bounds LO:HI (default 1:100)",
-    )
-    sweep.add_argument("--reps", type=int, default=1, help="repetitions per value (default 1)")
-    sweep.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
+    _add_date_range_flag(sweep, SweepSpec)
+    _add_flag(sweep, "--reps", SweepSpec, "reps", "repetitions per value")
+    _add_flag(sweep, "--seed", SweepSpec, "base_seed", "base seed")
     sweep.add_argument("--out", required=True, help="output directory for summary.csv")
     sweep.add_argument(
         "--keep-runs",
@@ -217,15 +217,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    try:
+        args = build_parser().parse_args(argv)
         return args.handler(args)
-    except (InvalidSpec, ValueError) as exc:
+    except InvalidSpec as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except InvalidArrangement as exc:
@@ -234,6 +229,9 @@ def main(argv: list[str] | None = None) -> int:
     except (BaystowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one integer check that raises them."""
 
 from __future__ import annotations
 
@@ -23,16 +23,19 @@ class EmptyPopulation(BaystowError):
     """Selection was asked to draw from an empty population."""
 
 
-class NonPositiveDate(BaystowError):
-    """Delivery dates must be strictly positive."""
-
-
 class TooLarge(BaystowError):
     """Instance exceeds the exhaustive-search size bound."""
 
 
-class InvalidSpec(BaystowError):
-    """A generator or sweep specification violates one of its bounds."""
+class InvalidSpec(BaystowError, ValueError):
+    """A value breaks a bound of the type that owns it (a constructor or the CLI parser).
+
+    A `ValueError` too; the file readers turn it into `ParseError`.
+    """
+
+
+class NonPositiveDate(InvalidSpec):
+    """Delivery dates must be strictly positive."""
 
 
 class ParseError(BaystowError):
@@ -47,3 +50,9 @@ class InvalidArrangement(BaystowError):
         shown = "; ".join(str(v) for v in self.violations[:5])
         more = "" if len(self.violations) <= 5 else f" (+{len(self.violations) - 5} more)"
         super().__init__(f"invalid arrangement: {shown}{more}")
+
+
+def require_int(name: str, value, least: int) -> None:
+    """Raise InvalidSpec unless `value` is a builtin int (not a bool) and >= `least`."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < least:
+        raise InvalidSpec(f"{name} must be an integer >= {least}, got {value!r}")

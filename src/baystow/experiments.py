@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from ._rng import derive_seed, is_seed
+from ._rng import derive_seed, require_seed
 from .bay import BayDims
-from .errors import InvalidSpec
+from .errors import InvalidSpec, require_int
 from .ga import GaConfig, RunStats, run
 from .instances import GeneratorSpec, Instance, generate_instance
 
@@ -47,28 +47,19 @@ class SweepSpec:
             raise InvalidSpec(f"kind must be one of {SWEEP_KINDS}, got {self.kind!r}")
         if not self.values:
             raise InvalidSpec("values must be non-empty")
-        if any(not isinstance(v, int) or isinstance(v, bool) for v in (*self.values, self.reps)):
-            raise InvalidSpec(f"values and reps must be integers, got {self.values}, {self.reps!r}")
-        if any(v < 1 for v in self.values):
-            raise InvalidSpec(f"swept values must be positive, got {self.values}")
+        for value in self.values:
+            require_int("swept value", value, 1)
         if any(b <= a for a, b in zip(self.values, self.values[1:])):
             raise InvalidSpec(f"swept values must be strictly increasing, got {self.values}")
-        if self.reps < 1:
-            raise InvalidSpec(f"reps must be >= 1, got {self.reps}")
-        if not is_seed(self.base_seed):
-            raise InvalidSpec(f"base_seed must be an integer, got {self.base_seed!r}")
-        if not 0 < self.date_min <= self.date_max:
-            raise InvalidSpec(f"need 0 < date_min <= date_max, got [{self.date_min}, {self.date_max}]")
+        require_int("reps", self.reps, 1)
+        require_seed("base_seed", self.base_seed)
         if self.kind == "containers":
             if self.n_containers is not None or self.dims is not None:
                 raise InvalidSpec("a containers sweep derives n_containers and dims from each value")
-        else:
-            if self.n_containers is None or self.dims is None:
-                raise InvalidSpec(f"a {self.kind} sweep needs fixed n_containers and dims")
-            if self.n_containers > self.dims.capacity:
-                raise InvalidSpec(
-                    f"{self.n_containers} containers exceed bay capacity {self.dims.capacity}"
-                )
+        elif self.n_containers is None or self.dims is None:
+            raise InvalidSpec(f"a {self.kind} sweep needs fixed n_containers and dims")
+        # The generator owns the container-count and date-range bounds.
+        _generator_spec(self, self.values[0], 0)
 
 
 @dataclass(frozen=True)
@@ -100,12 +91,21 @@ class SweepResult:
 
 def cube_dims(n_containers: int) -> BayDims:
     """Smallest cubic bay that holds the given number of containers."""
-    if n_containers < 1:
-        raise ValueError(f"need at least one container, got {n_containers}")
+    require_int("n_containers", n_containers, 1)
     side = 1
     while side**3 < n_containers:
         side += 1
     return BayDims(side, side, side)
+
+
+def _generator_spec(spec: SweepSpec, value: int, rep: int) -> GeneratorSpec:
+    if spec.kind == "containers":
+        dims, nc = cube_dims(value), value
+        seed = derive_seed(spec.base_seed, _INSTANCE_STREAM, value, rep)
+    else:
+        dims, nc = spec.dims, spec.n_containers
+        seed = derive_seed(spec.base_seed, _INSTANCE_STREAM, 0, rep)
+    return GeneratorSpec(dims, nc, date_min=spec.date_min, date_max=spec.date_max, seed=seed)
 
 
 def sweep_instance(spec: SweepSpec, value: int, rep: int) -> Instance:
@@ -115,15 +115,7 @@ def sweep_instance(spec: SweepSpec, value: int, rep: int) -> Instance:
     value is a different problem; the other sweeps share one instance per
     repetition so the swept knob is the only difference between points.
     """
-    if spec.kind == "containers":
-        dims, nc = cube_dims(value), value
-        seed = derive_seed(spec.base_seed, _INSTANCE_STREAM, value, rep)
-    else:
-        dims, nc = spec.dims, spec.n_containers
-        seed = derive_seed(spec.base_seed, _INSTANCE_STREAM, 0, rep)
-    return generate_instance(
-        GeneratorSpec(dims, nc, date_min=spec.date_min, date_max=spec.date_max, seed=seed)
-    )
+    return generate_instance(_generator_spec(spec, value, rep))
 
 
 def _point_config(spec: SweepSpec, value: int, rep: int) -> GaConfig:

@@ -28,16 +28,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rng import is_seed, mask_seed
+from ._rng import mask_seed, require_seed
 from .arrangement import Arrangement, _transpose_rows, shuffle_ids, validate
 from .bay import canonical_above_counts, scan_coords
-from .errors import EmptyPopulation, InvalidArrangement, ShapeMismatch
+from .errors import EmptyPopulation, InvalidArrangement, InvalidSpec, ShapeMismatch, require_int
 from .instances import Instance
-
-
-def _require_int(name: str, value, least: int) -> None:
-    if not isinstance(value, int) or isinstance(value, bool) or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -53,16 +48,15 @@ class GaConfig:
     validate_every_individual: bool = False
 
     def __post_init__(self) -> None:
-        if not is_seed(self.seed):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
-        _require_int("pop_size", self.pop_size, 1)
-        _require_int("generations", self.generations, 1)
+        require_seed("seed", self.seed)
+        require_int("pop_size", self.pop_size, 1)
+        require_int("generations", self.generations, 1)
         if self.init_swaps is not None:
-            _require_int("init_swaps", self.init_swaps, 0)
+            require_int("init_swaps", self.init_swaps, 0)
         for name in ("crossover_prob", "mutation_prob"):
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {p}")
+                raise InvalidSpec(f"{name} must be in [0, 1], got {p}")
 
 
 @dataclass(frozen=True)

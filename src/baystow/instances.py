@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rng import is_seed, mask_seed
+from ._rng import mask_seed, require_seed
 from .bay import BayDims
-from .errors import CapacityExceeded, InvalidSpec, NonPositiveDate
+from .errors import CapacityExceeded, InvalidSpec, NonPositiveDate, require_int
 
 
 @dataclass(frozen=True)
@@ -25,10 +25,9 @@ class Container:
     delivery_date: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.id, int) or isinstance(self.id, bool) or self.id < 1:
-            raise ValueError(f"container id must be a positive integer, got {self.id!r}")
+        require_int("container id", self.id, 1)
         if not math.isfinite(self.delivery_date):
-            raise ValueError(f"delivery date must be finite, got {self.delivery_date!r}")
+            raise InvalidSpec(f"delivery date must be finite, got {self.delivery_date!r}")
         if self.delivery_date <= 0:
             raise NonPositiveDate(f"delivery date must be > 0, got {self.delivery_date!r}")
 
@@ -53,7 +52,10 @@ class Instance:
             )
         ids = sorted(c.id for c in self.containers)
         if ids != list(range(1, nc + 1)):
-            raise ValueError(f"container ids must be exactly 1..{nc}, got {ids}")
+            # Ids are >= 1, so below its 1-based rank an id repeats the one before it.
+            rank, cid = next((k, i) for k, i in enumerate(ids, 1) if i != k)
+            problem = f"duplicate container id {cid}" if cid < rank else f"id {rank} missing, got {cid}"
+            raise InvalidSpec(f"container ids must be exactly 1..{nc}: {problem}")
         # Built after the id check, so every id fits an int64 index.
         positions = np.fromiter((c.id - 1 for c in self.containers), np.int64, nc)
         dates = np.fromiter((c.delivery_date for c in self.containers), np.float64, nc)
@@ -82,19 +84,15 @@ class GeneratorSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not is_seed(self.seed):
-            raise InvalidSpec(f"seed must be an integer, got {self.seed!r}")
-        if self.n_containers < 1:
-            raise InvalidSpec(f"n_containers must be >= 1, got {self.n_containers}")
+        require_seed("seed", self.seed)
+        require_int("n_containers", self.n_containers, 1)
         if self.n_containers > self.dims.capacity:
             raise InvalidSpec(
                 f"n_containers {self.n_containers} exceeds bay capacity {self.dims.capacity}"
             )
-        if not (math.isfinite(self.date_min) and math.isfinite(self.date_max)):
-            raise InvalidSpec("date range bounds must be finite")
-        if not 0 < self.date_min <= self.date_max:
+        if not 0 < self.date_min <= self.date_max < math.inf:
             raise InvalidSpec(
-                f"date range must satisfy 0 < min <= max, got [{self.date_min}, {self.date_max}]"
+                f"date range must satisfy 0 < min <= max < inf, got [{self.date_min}, {self.date_max}]"
             )
 
 

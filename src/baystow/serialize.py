@@ -3,7 +3,8 @@
 Documents are strict: unknown fields are rejected rather than ignored, so a
 typo in a hand-edited file surfaces as a ParseError naming the field instead
 of silently producing a different experiment. Structural problems in a file
-(bad JSON, wrong types, duplicate ids, coordinates outside the bay) raise
+(undecodable bytes, bad JSON, wrong types, out-of-range values, duplicate
+ids, coordinates outside the bay, a bay too large to allocate) raise
 ParseError; a container count that cannot fit the declared bay raises
 CapacityExceeded; whether an arrangement satisfies the stacking rules is
 not a file concern and stays with `arrangement.validate`.
@@ -20,7 +21,7 @@ import numpy as np
 
 from .arrangement import Arrangement
 from .bay import BayDims, Cell
-from .errors import CapacityExceeded, NonPositiveDate, ParseError
+from .errors import CapacityExceeded, InvalidSpec, ParseError
 from .ga import GenerationRecord, RunStats
 from .instances import Container, Instance
 
@@ -35,13 +36,14 @@ def _fmt(value: float) -> str:
 
 def _load_json(path: Path) -> Any:
     try:
-        text = path.read_text()
+        return json.loads(path.read_text())
     except OSError as exc:
         raise ParseError(f"{path}: {exc.strerror or exc}") from exc
-    try:
-        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:
+        # Undecodable bytes, integers past Python's digit limit, nesting past the recursion limit.
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 def _require_object(value: Any, where: str, allowed: tuple[str, ...]) -> dict:
@@ -70,10 +72,9 @@ def _require_number(value: Any, where: str) -> float:
 
 def _parse_dims(value: Any, where: str) -> BayDims:
     obj = _require_object(value, where, ("n1", "n2", "n3"))
-    sizes = {axis: _require_int(obj[axis], f"{where}.{axis}") for axis in ("n1", "n2", "n3")}
     try:
-        return BayDims(**sizes)
-    except ValueError as exc:
+        return BayDims(**obj)
+    except InvalidSpec as exc:
         raise ParseError(f"{where}: {exc}") from exc
 
 
@@ -99,22 +100,17 @@ def read_instance(path: str | Path) -> Instance:
             f"{path}: {len(raw)} containers exceed bay capacity {dims.capacity}"
         )
     containers = []
-    seen: set[int] = set()
     for index, item in enumerate(raw):
         where = f"{path}: containers[{index}]"
         obj = _require_object(item, where, ("id", "delivery_date"))
-        cid = _require_int(obj["id"], f"{where}.id")
-        if cid in seen:
-            raise ParseError(f"{where}: duplicate container id {cid}")
-        seen.add(cid)
         date = _require_number(obj["delivery_date"], f"{where}.delivery_date")
         try:
-            containers.append(Container(cid, date))
-        except (ValueError, NonPositiveDate) as exc:
+            containers.append(Container(obj["id"], date))
+        except InvalidSpec as exc:
             raise ParseError(f"{where}: {exc}") from exc
     try:
         return Instance(dims, tuple(containers))
-    except ValueError as exc:
+    except InvalidSpec as exc:
         raise ParseError(f"{path}: {exc}") from exc
 
 
@@ -138,7 +134,10 @@ def read_arrangement(path: str | Path) -> Arrangement:
         raise ParseError(f"{path}: cells: expected a list, got {type(raw).__name__}")
     if len(raw) > dims.capacity:
         raise CapacityExceeded(f"{path}: {len(raw)} cells exceed bay capacity {dims.capacity}")
-    assignments: dict[Cell, int] = {}
+    try:
+        grid = np.zeros((dims.n1, dims.n2, dims.n3), dtype=np.int64)
+    except (ValueError, MemoryError) as exc:
+        raise ParseError(f"{path}: cannot hold a {dims} bay: {exc}") from exc
     seen_ids: set[int] = set()
     for index, item in enumerate(raw):
         where = f"{path}: cells[{index}]"
@@ -146,18 +145,15 @@ def read_arrangement(path: str | Path) -> Arrangement:
         cell = Cell(*(_require_int(obj[axis], f"{where}.{axis}") for axis in ("x", "y", "z")))
         if not dims.contains(cell):
             raise ParseError(f"{where}: cell {tuple(cell)} outside bay {dims}")
-        if cell in assignments:
+        if grid[cell]:
             raise ParseError(f"{where}: duplicate cell {tuple(cell)}")
         cid = _require_int(obj["id"], f"{where}.id")
         if not 1 <= cid <= dims.capacity:
             raise ParseError(f"{where}.id: container ids must be in 1..{dims.capacity}, got {cid}")
         if cid in seen_ids:
             raise ParseError(f"{where}: duplicate container id {cid}")
-        assignments[cell] = cid
+        grid[cell] = cid
         seen_ids.add(cid)
-    grid = np.zeros((dims.n1, dims.n2, dims.n3), dtype=np.int64)
-    for cell, cid in assignments.items():
-        grid[cell.x, cell.y, cell.z] = cid
     return Arrangement(dims, grid)
 
 
@@ -187,6 +183,8 @@ def read_stats(path: str | Path) -> tuple[GenerationRecord, ...]:
             rows = list(csv.reader(handle))
     except OSError as exc:
         raise ParseError(f"{path}: {exc.strerror or exc}") from exc
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ParseError(f"{path}: {exc}") from exc
     if not rows or tuple(rows[0]) != STATS_HEADER:
         raise ParseError(f"{path}: expected header {','.join(STATS_HEADER)}")
     records = []

@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from baystow import canonical_fill, read_instance, read_stats, write_arrangement
-from baystow.cli import main
+from baystow import GaConfig, canonical_fill, read_instance, read_stats, write_arrangement
+from baystow.cli import _ga_config, build_parser, main
 
 
 @pytest.fixture
@@ -130,15 +130,40 @@ class TestValidate:
                 "dims": {"n1": 2, "n2": 2, "n3": 2},
                 "containers": [{"id": 1, "delivery_date": 1.0}, {"id": 10**29, "delivery_date": 1.0}],
             }),
+            # Raw bytes: files that fail to decode or to allocate.
+            pytest.param("instance", b"\xff\xfe{}", id="instance-not-utf8"),
+            pytest.param("arrangement", b"\xff\xfe{}", id="arrangement-not-utf8"),
+            pytest.param(
+                "instance",
+                b'{"dims": {"n1": 2, "n2": 2, "n3": 2}, "containers": [{"id": 1'
+                + b"0" * 5000 + b', "delivery_date": 1.0}]}',
+                id="instance-5001-digit-id",
+            ),
+            pytest.param("instance", b"[" * 200_000, id="instance-nested-200000-deep"),
+            pytest.param(
+                "arrangement",
+                b'{"dims": {"n1": 99999999999999999999, "n2": 2, "n3": 2}, "cells": []}',
+                id="arrangement-dims-past-numpy-limit",
+            ),
+            pytest.param(
+                "arrangement",
+                b'{"dims": {"n1": 100000, "n2": 100000, "n3": 100000}, "cells": []}',
+                id="arrangement-dims-unallocatable",
+            ),
         ],
     )
     def test_huge_id_is_parse_error(self, tmp_path, instance_file, capsys, role, document):
         files = {"instance": instance_file, "arrangement": tmp_path / "arr.json"}
         write_arrangement(canonical_fill(read_instance(instance_file)), files["arrangement"])
         files[role] = tmp_path / "huge.json"
-        files[role].write_text(json.dumps(document))
+        if isinstance(document, bytes):
+            files[role].write_bytes(document)
+        else:
+            files[role].write_text(json.dumps(document))
         assert main(["validate", str(files["instance"]), str(files["arrangement"])]) == 2
-        assert capsys.readouterr().err.startswith("error:")
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert len(err.splitlines()) == 1
 
     def test_dims_mismatch_is_constraint_failure(self, tmp_path, instance_file):
         other = tmp_path / "other.json"
@@ -189,6 +214,18 @@ class TestSweep:
 class TestUsage:
     def test_no_command(self):
         assert main([]) == 1
+
+    def test_defaults_come_from_ga_config(self):
+        args = build_parser().parse_args(["solve", "inst.json", "--out", "o"])
+        assert _ga_config(args, args.seed) == GaConfig()
+
+    def test_unexpected_exception_is_internal_error(self, tmp_path, instance_file, capsys, monkeypatch):
+        def broken_run(instance, cfg):
+            raise ValueError("engine bug")
+
+        monkeypatch.setattr("baystow.cli.run", broken_run)
+        assert solve(instance_file, tmp_path / "out") == 4
+        assert capsys.readouterr().err.splitlines() == ["internal error: ValueError: engine bug"]
 
     def test_unknown_command(self):
         assert main(["optimize"]) == 1

@@ -54,6 +54,17 @@ class TestSweepSpec:
         with pytest.raises(InvalidSpec):
             SweepSpec("containers", (4, 8), config=tiny_config(), base_seed=base_seed)
 
+    @pytest.mark.parametrize(
+        "kind, kwargs",
+        [
+            ("generations", {"n_containers": 2.5, "dims": BayDims(2, 2, 2)}),
+            ("containers", {"date_max": float("inf")}),
+        ],
+    )
+    def test_generator_bounds_checked_at_construction(self, kind, kwargs):
+        with pytest.raises(InvalidSpec):
+            SweepSpec(kind, (4, 8), config=tiny_config(), **kwargs)
+
     def test_unknown_kind(self):
         with pytest.raises(InvalidSpec):
             SweepSpec("elitism", (1, 2), config=tiny_config())

@@ -53,6 +53,15 @@ class TestInstance:
         with pytest.raises(ValueError):
             Instance(BayDims(2, 2, 1), containers)
 
+    def test_bad_id_message_names_it(self):
+        ids = [*range(1, 8000), 10**29]
+        containers = tuple(Container(cid, 1.0) for cid in ids)
+        with pytest.raises(InvalidSpec) as info:
+            Instance(BayDims(20, 20, 20), containers)
+        message = str(info.value)
+        assert len(message) < 200
+        assert str(10**29) in message and "8000" in message
+
     def test_capacity_guard(self):
         with pytest.raises(CapacityExceeded):
             make_instance((1, 1, 2), [1.0, 2.0, 3.0])
@@ -96,6 +105,8 @@ class TestGenerator:
             {"date_min": 5.0, "date_max": 2.0},
             {"seed": 1.5},
             {"seed": True},
+            {"n_containers": 2.5},
+            {"n_containers": True},
         ],
     )
     def test_invalid_spec(self, kwargs):

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from baystow import (
     BayDims,
@@ -170,6 +172,47 @@ class TestStatsFiles:
         path.write_text("foo,bar\n1,2\n")
         with pytest.raises(ParseError, match="header"):
             read_stats(path)
+
+    def test_undecodable_file_rejected(self, tmp_path):
+        path = tmp_path / "latin.csv"
+        path.write_bytes(",".join(STATS_HEADER).encode() + b"\n1,2,3,\xff\n")
+        with pytest.raises(ParseError, match="decode"):
+            read_stats(path)
+
+
+READERS = {"instance": read_instance, "arrangement": read_arrangement, "stats": read_stats}
+
+
+@pytest.fixture(scope="module")
+def valid_files(tmp_path_factory):
+    """One small valid file per reader, as (path to overwrite, original bytes)."""
+    folder = tmp_path_factory.mktemp("valid")
+    instance = generate_instance(GeneratorSpec(BayDims(2, 2, 2), 7, seed=3))
+    write_instance(instance, folder / "instance")
+    write_arrangement(canonical_fill(instance), folder / "arrangement")
+    write_stats(run(instance, GaConfig(pop_size=4, generations=3, seed=0)), folder / "stats")
+    return {kind: (folder / kind, (folder / kind).read_bytes()) for kind in READERS}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(READERS)),
+    flips=st.lists(st.tuples(st.integers(0, 2**16), st.integers(0, 255)), max_size=4),
+    cut=st.none() | st.integers(0, 2**16),
+)
+def test_corrupted_files_raise_only_file_errors(valid_files, kind, flips, cut):
+    """Byte flips and truncations of a valid file end in ParseError or CapacityExceeded."""
+    path, original = valid_files[kind]
+    data = bytearray(original)
+    for position, byte in flips:
+        data[position % len(data)] = byte
+    if cut is not None:
+        del data[cut % (len(data) + 1):]
+    path.write_bytes(bytes(data))
+    try:
+        READERS[kind](path)
+    except (ParseError, CapacityExceeded):
+        pass
 
 
 class TestSweepSummaryFiles:
