@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .arrangement import validate
 from .bay import BayDims
-from .errors import BaystowError, InvalidArrangement, InvalidSpec, ShapeMismatch
+from .errors import BaystowError, InvalidSpec, ShapeMismatch
 from .experiments import SWEEP_KINDS, SweepSpec, run_sweep
 from .ga import GaConfig, run
 from .instances import GeneratorSpec, generate_instance
@@ -223,9 +223,6 @@ def main(argv: list[str] | None = None) -> int:
     except InvalidSpec as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except InvalidArrangement as exc:
-        print(f"constraint violation: {exc}", file=sys.stderr)
-        return 3
     except (BaystowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,11 +1,12 @@
 """Evolution engine: roulette selection, box crossover, swap mutation, elitism.
 
 Each generation draws parents by roulette wheel over weights 1 / (1 + F)
-(small F means fit, weights stay finite at F = 0), produces exactly N
-offspring through crossover or copy plus optional mutation, merges them with
-the N incumbents, and keeps the best N of the 2N merged individuals. The
-merge step makes the best fitness non-increasing from one generation to the
-next.
+(small F means fit, weights stay finite at F = 0) and gathers one pool: the
+N incumbents, then each pair's two parents as its two children. Crossover
+refills the children of crossing pairs in place inside that pool, mutation
+swaps within it, and the best N of the incumbents and the first N children
+survive. Keeping the incumbents makes the best fitness non-increasing from
+one generation to the next.
 
 The crossover operator cuts an axis-aligned box out of the bay: the child
 keeps the first parent's ids inside the box and fills the remaining cells,
@@ -111,13 +112,10 @@ def _roulette(fits: np.ndarray, u: float | np.ndarray) -> np.ndarray:
     return np.minimum(np.searchsorted(cumulative, u * cumulative[-1], side="right"), fits.size - 1)
 
 
-def _order_fill(keep: np.ndarray, donor: np.ndarray, region: np.ndarray, mark: np.ndarray) -> np.ndarray:
-    """Child sequence: `keep`'s ids inside the region, absent ids in donor order elsewhere."""
-    child = keep.copy()
-    mark[:] = False
-    mark[keep[region]] = True
-    child[~region] = donor[~mark[donor]]
-    return child
+def _order_fill(child: np.ndarray, donor: np.ndarray, outside: np.ndarray, mark: np.ndarray) -> None:
+    """Refill `child`'s ids outside the box in place, in `donor` order; both hold the same ids."""
+    mark[child] = outside
+    child[outside] = donor[mark[donor]]
 
 
 def _check(seqs: np.ndarray, instance: Instance, cfg: GaConfig) -> None:
@@ -159,30 +157,26 @@ def _step_seqs(
     plane_highs = (dims.n1 + 1, dims.n2 + 1, dims.n3 + 1)
     planes = rng.integers(1, plane_highs, size=(n_pairs, 3))
 
-    children = np.empty((2 * n_pairs, nc), dtype=np.int64)
+    # Incumbents, then each pair's parents standing in as its two children.
+    pool = seqs[np.concatenate([np.arange(n), parents.ravel()])]
     mark = np.zeros(nc + 1, dtype=bool)
-    for p in range(n_pairs):
+    for p in np.flatnonzero(do_crossover):
         i, j = parents[p]
-        if do_crossover[p]:
-            region = (xs < planes[p, 0]) & (ys < planes[p, 1]) & (zs < planes[p, 2])
-            children[2 * p] = _order_fill(seqs[i], seqs[j], region, mark)
-            children[2 * p + 1] = _order_fill(seqs[j], seqs[i], region, mark)
-        else:
-            children[2 * p] = seqs[i]
-            children[2 * p + 1] = seqs[j]
-    offspring = children[:n]
+        outside = (xs >= planes[p, 0]) | (ys >= planes[p, 1]) | (zs >= planes[p, 2])
+        _order_fill(pool[n + 2 * p], seqs[j], outside, mark)
+        _order_fill(pool[n + 2 * p + 1], seqs[i], outside, mark)
+    offspring = pool[n : 2 * n]
 
     mutate_flags = rng.random(n) < cfg.mutation_prob
     if nc:
         # A row that does not mutate swaps position 0 with itself.
         pairs = rng.integers(0, nc, size=(n, 2)) * mutate_flags[:, None]
-        offspring = _transpose_rows(offspring, pairs[:, None])
+        _transpose_rows(offspring, pairs[:, None])
     _check(offspring, instance, cfg)
 
-    merged = np.concatenate([seqs, offspring])
-    merged_fits = np.concatenate([fits, _batch_fitness(offspring, instance)])
-    order = np.argsort(merged_fits, kind="stable")[:n]
-    return merged[order], merged_fits[order]
+    pool_fits = np.concatenate([fits, _batch_fitness(offspring, instance)])
+    order = np.argsort(pool_fits, kind="stable")[:n]
+    return pool[order], pool_fits[order]
 
 
 def init_population(instance: Instance, cfg: GaConfig, rng: np.random.Generator) -> list[Arrangement]:
@@ -221,12 +215,12 @@ def crossover(
     if not np.array_equal(occupied, np.flatnonzero(v2)):
         raise ShapeMismatch("parents do not share an occupancy pattern")
     xs, ys, zs = scan_coords(dims)
-    region = (xs[occupied] < planes.px) & (ys[occupied] < planes.py) & (zs[occupied] < planes.pz)
+    outside = (xs[occupied] >= planes.px) | (ys[occupied] >= planes.py) | (zs[occupied] >= planes.pz)
     s1, s2 = v1[occupied], v2[occupied]
-    top = int(max(s1.max(initial=0), s2.max(initial=0)))
-    mark = np.zeros(top + 1, dtype=bool)
-    c1 = _order_fill(s1, s2, region, mark)
-    c2 = _order_fill(s2, s1, region, mark)
+    c1, c2 = s1.copy(), s2.copy()
+    mark = np.zeros(int(max(s1.max(initial=0), s2.max(initial=0))) + 1, dtype=bool)
+    _order_fill(c1, s2, outside, mark)
+    _order_fill(c2, s1, outside, mark)
     out1, out2 = v1.copy(), v2.copy()
     out1[occupied] = c1
     out2[occupied] = c2

@@ -70,12 +70,17 @@ def _require_number(value: Any, where: str) -> float:
     return float(value)
 
 
-def _parse_dims(value: Any, where: str) -> BayDims:
+def _parse_dims(value: Any, where: str) -> tuple[BayDims, np.ndarray]:
+    """The bay and an empty grid for it; a bay too large to allocate is a ParseError."""
     obj = _require_object(value, where, ("n1", "n2", "n3"))
     try:
-        return BayDims(**obj)
+        dims = BayDims(**obj)
     except InvalidSpec as exc:
         raise ParseError(f"{where}: {exc}") from exc
+    try:
+        return dims, np.zeros((dims.n1, dims.n2, dims.n3), dtype=np.int64)
+    except (ValueError, MemoryError) as exc:
+        raise ParseError(f"{where}: cannot hold a {dims} bay: {exc}") from exc
 
 
 def write_instance(instance: Instance, path: str | Path) -> None:
@@ -91,7 +96,7 @@ def write_instance(instance: Instance, path: str | Path) -> None:
 def read_instance(path: str | Path) -> Instance:
     path = Path(path)
     root = _require_object(_load_json(path), f"{path}", ("dims", "containers"))
-    dims = _parse_dims(root["dims"], f"{path}: dims")
+    dims, _ = _parse_dims(root["dims"], f"{path}: dims")
     raw = root["containers"]
     if not isinstance(raw, list):
         raise ParseError(f"{path}: containers: expected a list, got {type(raw).__name__}")
@@ -128,16 +133,12 @@ def write_arrangement(arr: Arrangement, path: str | Path) -> None:
 def read_arrangement(path: str | Path) -> Arrangement:
     path = Path(path)
     root = _require_object(_load_json(path), f"{path}", ("dims", "cells"))
-    dims = _parse_dims(root["dims"], f"{path}: dims")
+    dims, grid = _parse_dims(root["dims"], f"{path}: dims")
     raw = root["cells"]
     if not isinstance(raw, list):
         raise ParseError(f"{path}: cells: expected a list, got {type(raw).__name__}")
     if len(raw) > dims.capacity:
         raise CapacityExceeded(f"{path}: {len(raw)} cells exceed bay capacity {dims.capacity}")
-    try:
-        grid = np.zeros((dims.n1, dims.n2, dims.n3), dtype=np.int64)
-    except (ValueError, MemoryError) as exc:
-        raise ParseError(f"{path}: cannot hold a {dims} bay: {exc}") from exc
     seen_ids: set[int] = set()
     for index, item in enumerate(raw):
         where = f"{path}: cells[{index}]"

@@ -14,6 +14,15 @@ def instance_file(tmp_path):
     return path
 
 
+# One-container instances whose bays are too large to allocate.
+HUGE_BAY_INSTANCES = [
+    b'{"dims": {"n1": 99999999999999999999, "n2": 2, "n3": 2},'
+    b' "containers": [{"id": 1, "delivery_date": 1.0}]}',
+    b'{"dims": {"n1": 100000, "n2": 100000, "n3": 100000},'
+    b' "containers": [{"id": 1, "delivery_date": 1.0}]}',
+]
+
+
 def solve(instance_file, out_dir, *extra):
     return main(
         ["solve", str(instance_file), "--pop-size", "10", "--generations", "15",
@@ -35,6 +44,13 @@ class TestGenerate:
     def test_overfull_is_usage_error(self, tmp_path):
         code = main(["generate", "--dims", "1x1x2", "--nc", "5", "--out", str(tmp_path / "x.json")])
         assert code == 1
+
+    def test_date_range_bounds_dates(self, tmp_path):
+        path = tmp_path / "dated.json"
+        code = main(["generate", "--dims", "3x3x3", "--nc", "20", "--date-range", "2:3",
+                     "--out", str(path)])
+        assert code == 0
+        assert all(2 <= c.delivery_date <= 3 for c in read_instance(path).containers)
 
     def test_malformed_dims_is_usage_error(self, tmp_path):
         code = main(["generate", "--dims", "2by2", "--nc", "4", "--out", str(tmp_path / "x.json")])
@@ -85,6 +101,15 @@ class TestSolve:
         }))
         assert solve(path, tmp_path / "out") == 2
         assert "exceed bay capacity" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("document", HUGE_BAY_INSTANCES, ids=["past-numpy-limit", "unallocatable"])
+    def test_huge_bay_instance_is_parse_error(self, tmp_path, capsys, document):
+        path = tmp_path / "huge.json"
+        path.write_bytes(document)
+        assert solve(path, tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "cannot hold" in err
+        assert len(err.splitlines()) == 1
 
     def test_bad_probability_is_usage_error(self, tmp_path, instance_file):
         code = main(["solve", str(instance_file), "--pc", "1.7", "--out", str(tmp_path / "o")])
@@ -150,6 +175,8 @@ class TestValidate:
                 b'{"dims": {"n1": 100000, "n2": 100000, "n3": 100000}, "cells": []}',
                 id="arrangement-dims-unallocatable",
             ),
+            pytest.param("instance", HUGE_BAY_INSTANCES[0], id="instance-dims-past-numpy-limit"),
+            pytest.param("instance", HUGE_BAY_INSTANCES[1], id="instance-dims-unallocatable"),
         ],
     )
     def test_huge_id_is_parse_error(self, tmp_path, instance_file, capsys, role, document):
@@ -226,6 +253,23 @@ class TestUsage:
         monkeypatch.setattr("baystow.cli.run", broken_run)
         assert solve(instance_file, tmp_path / "out") == 4
         assert capsys.readouterr().err.splitlines() == ["internal error: ValueError: engine bug"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["generate", "--dims", "2xax2", "--nc", "4"],
+            ["sweep", "containers", "--values", "4,x"],
+            ["generate", "--dims", "2x2x2", "--nc", "4", "--date-range", "5"],
+            ["generate", "--dims", "2x2x2", "--nc", "4", "--date-range", "a:b"],
+        ],
+        ids=["dims", "values", "date-range-no-colon", "date-range-not-numbers"],
+    )
+    def test_bad_flag_value_is_usage_error(self, tmp_path, capsys, argv):
+        assert main([*argv, "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:")
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "x").exists()
 
     def test_unknown_command(self):
         assert main(["optimize"]) == 1
