@@ -20,15 +20,10 @@ from .arrangement import (
 from .bay import BayDims, Cell, canonical_above_counts, scan_coords
 from .errors import (
     BaystowError,
-    CapacityExceeded,
-    CellEmpty,
-    EmptyPopulation,
     InvalidArrangement,
     InvalidSpec,
-    NonPositiveDate,
     ParseError,
     ShapeMismatch,
-    TooLarge,
 )
 from .evaluation import EvalResult, fitness, rehandles
 from .experiments import (
@@ -83,12 +78,9 @@ __all__ = [
     "Arrangement",
     "BayDims",
     "BaystowError",
-    "CapacityExceeded",
     "Cell",
-    "CellEmpty",
     "Container",
     "CrossoverPlanes",
-    "EmptyPopulation",
     "EvalResult",
     "GaConfig",
     "GenerationRecord",
@@ -96,7 +88,6 @@ __all__ = [
     "Instance",
     "InvalidArrangement",
     "InvalidSpec",
-    "NonPositiveDate",
     "OracleResult",
     "ParseError",
     "RunStats",
@@ -105,7 +96,6 @@ __all__ = [
     "SweepResult",
     "SweepRun",
     "SweepSpec",
-    "TooLarge",
     "Violation",
     "above_count",
     "canonical_above_counts",

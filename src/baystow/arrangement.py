@@ -15,7 +15,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .bay import BayDims, Cell, scan_coords
-from .errors import CapacityExceeded, CellEmpty, ShapeMismatch
+from .errors import ShapeMismatch
 from .instances import Instance
 
 EMPTY = 0  # grid value marking an unoccupied cell
@@ -80,7 +80,7 @@ class Arrangement:
         """Place `sequence` into the first cells of scan order (canonical occupancy)."""
         seq = np.asarray(sequence, dtype=np.int64)
         if seq.size > dims.capacity:
-            raise CapacityExceeded(f"{seq.size} ids exceed bay capacity {dims.capacity}")
+            raise ValueError(f"{seq.size} ids exceed bay capacity {dims.capacity}")
         full = np.zeros(dims.capacity, dtype=np.int64)
         full[: seq.size] = seq
         return cls.from_scan_vector(dims, full)
@@ -145,7 +145,7 @@ def above_count(arr: Arrangement, cell: Cell) -> int:
         raise ValueError(f"cell {tuple(cell)} outside bay {arr.dims}")
     x, y, z = cell
     if arr.grid[x, y, z] == EMPTY:
-        raise CellEmpty(f"cell {tuple(cell)} is empty")
+        raise ValueError(f"cell {tuple(cell)} is empty")
     return int(np.count_nonzero(arr.grid[x, y, z + 1 :]))
 
 
@@ -195,7 +195,7 @@ def validate(arr: Arrangement, instance: Instance) -> list[Violation]:
                 )
             )
 
-    occupied_scan = occupied.transpose(2, 0, 1).ravel()
+    occupied_scan = arr.scan_vector() != EMPTY
     canonical = np.arange(dims.capacity) < nc
     xs, ys, zs = scan_coords(dims)
     for k in np.flatnonzero(occupied_scan & ~canonical):

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CapacityExceeded, require_int
+from .errors import require_int
 
 
 class Cell(NamedTuple):
@@ -77,7 +77,7 @@ def canonical_above_counts(dims: BayDims, count: int) -> np.ndarray:
     ``count % floor_capacity`` columns in within-floor scan order.
     """
     if count > dims.capacity:
-        raise CapacityExceeded(f"{count} containers exceed bay capacity {dims.capacity}")
+        raise ValueError(f"{count} containers exceed bay capacity {dims.capacity}")
     full_floors, remainder = divmod(count, dims.floor_capacity)
     heights = full_floors + (np.arange(dims.floor_capacity) < remainder)
     positions = np.arange(count)

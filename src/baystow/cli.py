@@ -1,9 +1,10 @@
 """Command-line front end: generate instances, solve, validate, run sweeps.
 
-Exit statuses: 0 success, 1 usage error (a bad flag, or a value rejected
-with InvalidSpec), 2 parse error (unreadable, undecodable, malformed or
-unallocatable files), 3 constraint violation (an arrangement that breaks the
-stacking rules), 4 internal error (any other exception, on one line with its
+Exit statuses: 0 success; 1 usage error (a bad flag, or a value rejected
+with InvalidSpec); 2 file error (ParseError or OSError: an unreadable,
+undecodable, malformed or unallocatable file); 3 constraint violation (an
+arrangement that breaks the stacking rules); 4 internal error (any other
+exception, a package error from an engine bug included, on one line with its
 type). The parser raises InvalidSpec instead of exiting, so usage problems
 report 1, not argparse's 2. Flag defaults are read from the dataclasses
 that own them.
@@ -17,7 +18,7 @@ from pathlib import Path
 
 from .arrangement import validate
 from .bay import BayDims
-from .errors import BaystowError, InvalidSpec, ShapeMismatch
+from .errors import InvalidSpec, ParseError, ShapeMismatch
 from .experiments import SWEEP_KINDS, SweepSpec, run_sweep
 from .ga import GaConfig, run
 from .instances import GeneratorSpec, generate_instance
@@ -223,7 +224,7 @@ def main(argv: list[str] | None = None) -> int:
     except InvalidSpec as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (BaystowError, OSError) as exc:
+    except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -1,4 +1,11 @@
-"""Exception types shared across the package, and the one integer check that raises them."""
+"""Exception types shared across the package, and the one integer check that raises them.
+
+Each class means one thing: `InvalidSpec`, a constructor or the CLI parser
+rejected an outside value; `ParseError`, a file could not be read;
+`ShapeMismatch`, an arrangement does not match its instance or the other
+parent; `InvalidArrangement`, validation found violations, which it carries.
+A library caller who breaks a function's precondition gets a `ValueError`.
+"""
 
 from __future__ import annotations
 
@@ -7,35 +14,12 @@ class BaystowError(Exception):
     """Base class for all package-specific errors."""
 
 
-class CapacityExceeded(BaystowError):
-    """More containers than the bay has cells."""
-
-
-class CellEmpty(BaystowError):
-    """An operation that needs an occupied cell was given an empty one."""
-
-
 class ShapeMismatch(BaystowError):
-    """Two arrangements do not share dimensions or occupancy."""
-
-
-class EmptyPopulation(BaystowError):
-    """Selection was asked to draw from an empty population."""
-
-
-class TooLarge(BaystowError):
-    """Instance exceeds the exhaustive-search size bound."""
+    """An arrangement does not match its instance or the other parent."""
 
 
 class InvalidSpec(BaystowError, ValueError):
-    """A value breaks a bound of the type that owns it (a constructor or the CLI parser).
-
-    A `ValueError` too; the file readers turn it into `ParseError`.
-    """
-
-
-class NonPositiveDate(InvalidSpec):
-    """Delivery dates must be strictly positive."""
+    """A rejected outside value; a `ValueError` too, re-raised by the file readers as `ParseError`."""
 
 
 class ParseError(BaystowError):

@@ -30,9 +30,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import mask_seed, require_seed
-from .arrangement import Arrangement, _transpose_rows, shuffle_ids, validate
+from .arrangement import Arrangement, _transpose_rows, shuffle_ids
 from .bay import canonical_above_counts, scan_coords
-from .errors import EmptyPopulation, InvalidArrangement, InvalidSpec, ShapeMismatch, require_int
+from .errors import InvalidSpec, ShapeMismatch, require_int
+from .evaluation import _require_valid
 from .instances import Instance
 
 
@@ -123,9 +124,7 @@ def _check(seqs: np.ndarray, instance: Instance, cfg: GaConfig) -> None:
     if not cfg.validate_every_individual:
         return
     for seq in seqs:
-        violations = validate(Arrangement.from_id_sequence(instance.dims, seq), instance)
-        if violations:
-            raise InvalidArrangement(violations)
+        _require_valid(Arrangement.from_id_sequence(instance.dims, seq), instance)
 
 
 def _init_seqs(instance: Instance, cfg: GaConfig, rng: np.random.Generator) -> np.ndarray:
@@ -188,7 +187,7 @@ def roulette_select(fitnesses, rng: np.random.Generator) -> int:
     """Index drawn with probability proportional to 1 / (1 + fitness)."""
     fits = np.asarray(fitnesses, dtype=np.float64)
     if fits.size == 0:
-        raise EmptyPopulation("cannot select from an empty population")
+        raise ValueError("cannot select from an empty population")
     if np.any(fits < 0) or not np.all(np.isfinite(fits)):
         raise ValueError("fitness values must be finite and non-negative")
     return int(_roulette(fits, rng.random()))

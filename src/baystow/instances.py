@@ -14,7 +14,7 @@ import numpy as np
 
 from ._rng import mask_seed, require_seed
 from .bay import BayDims
-from .errors import CapacityExceeded, InvalidSpec, NonPositiveDate, require_int
+from .errors import InvalidSpec, require_int
 
 
 @dataclass(frozen=True)
@@ -29,7 +29,7 @@ class Container:
         if not math.isfinite(self.delivery_date):
             raise InvalidSpec(f"delivery date must be finite, got {self.delivery_date!r}")
         if self.delivery_date <= 0:
-            raise NonPositiveDate(f"delivery date must be > 0, got {self.delivery_date!r}")
+            raise InvalidSpec(f"delivery date must be > 0, got {self.delivery_date!r}")
 
     @property
     def priority(self) -> float:
@@ -47,9 +47,7 @@ class Instance:
         object.__setattr__(self, "containers", tuple(self.containers))
         nc = len(self.containers)
         if nc > self.dims.capacity:
-            raise CapacityExceeded(
-                f"{nc} containers exceed bay capacity {self.dims.capacity}"
-            )
+            raise InvalidSpec(f"{nc} containers exceed bay capacity {self.dims.capacity}")
         ids = sorted(c.id for c in self.containers)
         if ids != list(range(1, nc + 1)):
             # Ids are >= 1, so below its 1-based rank an id repeats the one before it.

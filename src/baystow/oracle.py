@@ -21,7 +21,6 @@ import numpy as np
 
 from .arrangement import Arrangement
 from .bay import canonical_above_counts
-from .errors import TooLarge
 from .evaluation import fitness
 from .instances import Instance
 
@@ -51,7 +50,7 @@ def exhaustive_optimum(instance: Instance) -> OracleResult:
     """
     nc = instance.n_containers
     if nc > EXHAUSTIVE_LIMIT:
-        raise TooLarge(
+        raise ValueError(
             f"{nc} containers means {nc}! permutations; "
             f"exhaustive search is capped at {EXHAUSTIVE_LIMIT}"
         )

@@ -4,10 +4,9 @@ Documents are strict: unknown fields are rejected rather than ignored, so a
 typo in a hand-edited file surfaces as a ParseError naming the field instead
 of silently producing a different experiment. Structural problems in a file
 (undecodable bytes, bad JSON, wrong types, out-of-range values, duplicate
-ids, coordinates outside the bay, a bay too large to allocate) raise
-ParseError; a container count that cannot fit the declared bay raises
-CapacityExceeded; whether an arrangement satisfies the stacking rules is
-not a file concern and stays with `arrangement.validate`.
+ids, coordinates outside the bay, more containers than the bay holds, a bay
+too large to allocate) raise ParseError; whether an arrangement satisfies the
+stacking rules is not a file concern and stays with `arrangement.validate`.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ import numpy as np
 
 from .arrangement import Arrangement
 from .bay import BayDims, Cell
-from .errors import CapacityExceeded, InvalidSpec, ParseError
+from .errors import InvalidSpec, ParseError
 from .ga import GenerationRecord, RunStats
 from .instances import Container, Instance
 
@@ -101,9 +100,7 @@ def read_instance(path: str | Path) -> Instance:
     if not isinstance(raw, list):
         raise ParseError(f"{path}: containers: expected a list, got {type(raw).__name__}")
     if len(raw) > dims.capacity:
-        raise CapacityExceeded(
-            f"{path}: {len(raw)} containers exceed bay capacity {dims.capacity}"
-        )
+        raise ParseError(f"{path}: {len(raw)} containers exceed bay capacity {dims.capacity}")
     containers = []
     for index, item in enumerate(raw):
         where = f"{path}: containers[{index}]"
@@ -138,7 +135,7 @@ def read_arrangement(path: str | Path) -> Arrangement:
     if not isinstance(raw, list):
         raise ParseError(f"{path}: cells: expected a list, got {type(raw).__name__}")
     if len(raw) > dims.capacity:
-        raise CapacityExceeded(f"{path}: {len(raw)} cells exceed bay capacity {dims.capacity}")
+        raise ParseError(f"{path}: {len(raw)} cells exceed bay capacity {dims.capacity}")
     seen_ids: set[int] = set()
     for index, item in enumerate(raw):
         where = f"{path}: cells[{index}]"

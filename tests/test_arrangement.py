@@ -4,9 +4,8 @@ import pytest
 from baystow import (
     Arrangement,
     BayDims,
-    CapacityExceeded,
     Cell,
-    CellEmpty,
+    InvalidSpec,
     ShapeMismatch,
     above_count,
     canonical_fill,
@@ -64,7 +63,7 @@ class TestCanonicalFill:
         assert validate(canonical_fill(inst), inst) == []
 
     def test_overfull_rejected(self):
-        with pytest.raises(CapacityExceeded):
+        with pytest.raises(InvalidSpec, match="3 containers exceed bay capacity 2"):
             make_instance((1, 1, 2), [1.0, 1.0, 1.0])
 
 
@@ -111,7 +110,7 @@ class TestAboveCount:
     def test_empty_cell_rejected(self):
         inst = make_instance((2, 2, 2), [1.0] * 4)
         arr = canonical_fill(inst)
-        with pytest.raises(CellEmpty):
+        with pytest.raises(ValueError, match=r"cell \(0, 0, 1\) is empty"):
             above_count(arr, Cell(0, 0, 1))
 
     def test_out_of_bay_rejected(self):
@@ -197,3 +196,18 @@ class TestArrangementValue:
         listed = list(arr.occupied_cells())
         assert [cid for _, cid in listed] == [1, 2, 3, 4, 5]
         assert listed[-1][0] == Cell(0, 0, 1)
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda d: Arrangement(d, np.zeros((2, 2, 1))), r"grid shape \(2, 2, 1\) does not match"),
+            (lambda d: Arrangement.from_scan_vector(d, [1] * 7), "scan vector must have length 8"),
+            (lambda d: Arrangement.from_id_sequence(d, range(1, 10)), "9 ids exceed bay capacity 8"),
+            (lambda d: shuffle_ids(Arrangement.from_id_sequence(d, [1]), None, -1),
+             "swaps must be >= 0"),
+        ],
+        ids=["grid-shape", "scan-vector-length", "too-many-ids", "negative-swaps"],
+    )
+    def test_broken_precondition_is_value_error(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call(BayDims(2, 2, 2))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from baystow import BayDims, CapacityExceeded, Cell, canonical_above_counts, scan_coords
+from baystow import BayDims, Cell, canonical_above_counts, scan_coords
 
 
 def cells(pairs):
@@ -113,5 +113,5 @@ class TestCanonicalAboveCounts:
             assert above.sum() == sum(h * (h - 1) // 2 for h in heights)
 
     def test_capacity_guard(self):
-        with pytest.raises(CapacityExceeded):
+        with pytest.raises(ValueError, match="9 containers exceed bay capacity 8"):
             canonical_above_counts(BayDims(2, 2, 2), 9)

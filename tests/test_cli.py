@@ -2,7 +2,15 @@ import json
 
 import pytest
 
-from baystow import GaConfig, canonical_fill, read_instance, read_stats, write_arrangement
+from baystow import (
+    GaConfig,
+    InvalidArrangement,
+    ShapeMismatch,
+    canonical_fill,
+    read_instance,
+    read_stats,
+    write_arrangement,
+)
 from baystow.cli import _ga_config, build_parser, main
 
 
@@ -177,6 +185,30 @@ class TestValidate:
             ),
             pytest.param("instance", HUGE_BAY_INSTANCES[0], id="instance-dims-past-numpy-limit"),
             pytest.param("instance", HUGE_BAY_INSTANCES[1], id="instance-dims-unallocatable"),
+            # One row per reader check that no other row reaches.
+            pytest.param("arrangement", {
+                "dims": {"n1": 1, "n2": 1, "n3": 1},
+                "cells": [{"x": 0, "y": 0, "z": 0, "id": 1}, {"x": 0, "y": 0, "z": 0, "id": 2}],
+            }, id="arrangement-over-capacity"),
+            pytest.param("arrangement", {"dims": {"n1": 0, "n2": 2, "n3": 2}, "cells": []},
+                         id="arrangement-dims-zero"),
+            pytest.param("instance", {"dims": {"n1": True, "n2": 2, "n3": 2}, "containers": []},
+                         id="instance-dims-bool"),
+            pytest.param("instance", {"dims": [2, 2, 2], "containers": []}, id="instance-dims-list"),
+            pytest.param("instance", {"dims": {"n1": 2, "n2": 2, "n3": 2}},
+                         id="instance-no-containers"),
+            pytest.param("arrangement", {
+                "dims": {"n1": 2, "n2": 2, "n3": 2},
+                "cells": [{"x": 0.0, "y": 0, "z": 0, "id": 1}],
+            }, id="arrangement-float-coordinate"),
+            pytest.param("instance", {
+                "dims": {"n1": 2, "n2": 2, "n3": 2},
+                "containers": [{"id": 1, "delivery_date": "1"}],
+            }, id="instance-string-date"),
+            pytest.param("instance", {"dims": {"n1": 2, "n2": 2, "n3": 2}, "containers": {}},
+                         id="instance-containers-object"),
+            pytest.param("arrangement", {"dims": {"n1": 2, "n2": 2, "n3": 2}, "cells": {}},
+                         id="arrangement-cells-object"),
         ],
     )
     def test_huge_id_is_parse_error(self, tmp_path, instance_file, capsys, role, document):
@@ -246,13 +278,27 @@ class TestUsage:
         args = build_parser().parse_args(["solve", "inst.json", "--out", "o"])
         assert _ga_config(args, args.seed) == GaConfig()
 
-    def test_unexpected_exception_is_internal_error(self, tmp_path, instance_file, capsys, monkeypatch):
+    @pytest.mark.parametrize(
+        "bug",
+        [
+            ValueError("engine bug"),
+            InvalidArrangement(["engine bug"]),
+            ShapeMismatch("engine bug"),
+        ],
+        ids=lambda bug: type(bug).__name__,
+    )
+    def test_unexpected_exception_is_internal_error(
+        self, tmp_path, instance_file, capsys, monkeypatch, bug
+    ):
+        """An engine bug exits 4, even when it raises a package error: exit 2 means a bad file."""
         def broken_run(instance, cfg):
-            raise ValueError("engine bug")
+            raise bug
 
         monkeypatch.setattr("baystow.cli.run", broken_run)
         assert solve(instance_file, tmp_path / "out") == 4
-        assert capsys.readouterr().err.splitlines() == ["internal error: ValueError: engine bug"]
+        assert capsys.readouterr().err.splitlines() == [
+            f"internal error: {type(bug).__name__}: {bug}"
+        ]
 
     @pytest.mark.parametrize(
         "argv",

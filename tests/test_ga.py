@@ -10,7 +10,6 @@ from baystow import (
     BayDims,
     Container,
     CrossoverPlanes,
-    EmptyPopulation,
     GaConfig,
     GeneratorSpec,
     Instance,
@@ -103,7 +102,7 @@ class TestRouletteSelect:
         assert roulette_select([2.5], rng) == 0
 
     def test_empty_rejected(self, rng):
-        with pytest.raises(EmptyPopulation):
+        with pytest.raises(ValueError, match="cannot select from an empty population"):
             roulette_select([], rng)
 
     def test_negative_rejected(self, rng):

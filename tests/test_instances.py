@@ -5,12 +5,10 @@ import pytest
 
 from baystow import (
     BayDims,
-    CapacityExceeded,
     Container,
     GeneratorSpec,
     Instance,
     InvalidSpec,
-    NonPositiveDate,
     generate_instance,
 )
 from conftest import make_instance
@@ -27,7 +25,7 @@ class TestContainer:
 
     @pytest.mark.parametrize("bad_date", [0.0, -1.0])
     def test_rejects_non_positive_date(self, bad_date):
-        with pytest.raises(NonPositiveDate):
+        with pytest.raises(InvalidSpec, match="delivery date must be > 0"):
             Container(1, bad_date)
 
     def test_rejects_non_finite_date(self):
@@ -63,7 +61,7 @@ class TestInstance:
         assert str(10**29) in message and "8000" in message
 
     def test_capacity_guard(self):
-        with pytest.raises(CapacityExceeded):
+        with pytest.raises(InvalidSpec, match="3 containers exceed bay capacity 2"):
             make_instance((1, 1, 2), [1.0, 2.0, 3.0])
 
 

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from baystow import (
     BayDims,
-    CapacityExceeded,
     GaConfig,
     GeneratorSpec,
     ParseError,
@@ -27,6 +26,8 @@ from baystow import (
 )
 from baystow.experiments import SweepPoint
 from conftest import make_instance
+
+READERS = {"instance": read_instance, "arrangement": read_arrangement, "stats": read_stats}
 
 
 @pytest.fixture
@@ -74,7 +75,7 @@ class TestInstanceFiles:
             "dims": {"n1": 1, "n2": 1, "n3": 2},
             "containers": [{"id": i, "delivery_date": 1.0} for i in range(1, 4)],
         }))
-        with pytest.raises(CapacityExceeded):
+        with pytest.raises(ParseError, match="big.json: 3 containers exceed bay capacity 2"):
             read_instance(path)
 
     def test_malformed_json_reports_position(self, tmp_path):
@@ -83,9 +84,10 @@ class TestInstanceFiles:
         with pytest.raises(ParseError, match="line"):
             read_instance(path)
 
-    def test_missing_file(self, tmp_path):
-        with pytest.raises(ParseError):
-            read_instance(tmp_path / "absent.json")
+    @pytest.mark.parametrize("kind", sorted(READERS))
+    def test_missing_file(self, tmp_path, kind):
+        with pytest.raises(ParseError, match="absent"):
+            READERS[kind](tmp_path / "absent")
 
     def test_non_positive_date_rejected(self, tmp_path):
         path = tmp_path / "zero.json"
@@ -180,9 +182,6 @@ class TestStatsFiles:
             read_stats(path)
 
 
-READERS = {"instance": read_instance, "arrangement": read_arrangement, "stats": read_stats}
-
-
 @pytest.fixture(scope="module")
 def valid_files(tmp_path_factory):
     """One small valid file per reader, as (path to overwrite, original bytes)."""
@@ -201,7 +200,7 @@ def valid_files(tmp_path_factory):
     cut=st.none() | st.integers(0, 2**16),
 )
 def test_corrupted_files_raise_only_file_errors(valid_files, kind, flips, cut):
-    """Byte flips and truncations of a valid file end in ParseError or CapacityExceeded."""
+    """Byte flips and truncations of a valid file end in ParseError."""
     path, original = valid_files[kind]
     data = bytearray(original)
     for position, byte in flips:
@@ -211,7 +210,7 @@ def test_corrupted_files_raise_only_file_errors(valid_files, kind, flips, cut):
     path.write_bytes(bytes(data))
     try:
         READERS[kind](path)
-    except (ParseError, CapacityExceeded):
+    except ParseError:
         pass
 
 

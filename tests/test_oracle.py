@@ -8,7 +8,6 @@ from baystow import (
     BayDims,
     GaConfig,
     GeneratorSpec,
-    TooLarge,
     canonical_fill,
     exhaustive_optimum,
     fitness,
@@ -53,7 +52,7 @@ class TestExhaustive:
 
     def test_too_large_rejected(self):
         inst = make_instance((3, 3, 1), [1.0] * 9)
-        with pytest.raises(TooLarge):
+        with pytest.raises(ValueError, match="exhaustive search is capped at 8"):
             exhaustive_optimum(inst)
 
     def test_witness_fitness_matches_report(self):
