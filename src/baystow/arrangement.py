@@ -120,21 +120,35 @@ def shuffle_ids(arr: Arrangement, rng: np.random.Generator, swaps: int) -> Arran
     return Arrangement.from_scan_vector(arr.dims, _transpose_rows(vector[None], pairs)[0])
 
 
+_SWAP_BLOCK = 256  # steps whose flat indices are built at once (0.4 MB at 50 rows)
+
+
 def _transpose_rows(seqs: np.ndarray, pairs: np.ndarray) -> np.ndarray:
     """Apply transpositions `pairs[r, t]` to row r of `seqs`, in step order t.
 
     `seqs` is (rows, n) and `pairs` is (rows, steps, 2) with positions in
-    [0, n). Each step swaps in every row at once through flat indices, so the
-    Python-level loop runs over steps only; rows never share a flat index, so
-    the result equals applying each row's swaps one after another. A
-    C-contiguous `seqs` is updated in place; the result is returned either way.
+    [0, n). Each step swaps in every row at once by one gather and one
+    scatter over flat indices, ``flat[a…, b…] = flat[b…, a…]``, so the
+    Python-level loop runs over steps only. Within a step no two rows share a
+    flat index, and a self-swap (a == b) writes the same value twice, so the
+    result equals applying each row's swaps one after another. The indices
+    are built into two buffers of `_SWAP_BLOCK` steps, reused block after
+    block, which bounds their memory whatever the step count. A C-contiguous
+    `seqs` is updated in place; the result is returned either way.
     """
     rows, n = seqs.shape
     flat = seqs.reshape(-1)
-    # (steps, 2, rows) flat positions, laid out so each step's pair is contiguous.
-    index = np.add(pairs.transpose(1, 2, 0), np.arange(rows) * n, order="C")
-    for a, b in index:
-        flat[a], flat[b] = flat[b], flat[a]
+    offsets = np.arange(rows) * n
+    steps = pairs.shape[1]
+    # (steps, 2, rows) flat positions: targets (a…, b…) and sources (b…, a…).
+    dst = np.empty((min(steps, _SWAP_BLOCK), 2, rows), dtype=np.intp)
+    src = np.empty_like(dst)
+    for start in range(0, steps, _SWAP_BLOCK):
+        k = min(_SWAP_BLOCK, steps - start)
+        np.add(pairs[:, start : start + k].transpose(1, 2, 0), offsets, out=dst[:k])
+        src[:k] = dst[:k, ::-1]
+        for d, s in zip(dst[:k].reshape(k, 2 * rows), src[:k].reshape(k, 2 * rows)):
+            flat[d] = flat[s]
     return flat.reshape(rows, n)
 
 

@@ -10,13 +10,14 @@ floor counts non-increasing with height).
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import require_int
+from .errors import InvalidSpec, require_int
 
 
 class Cell(NamedTuple):
@@ -38,6 +39,13 @@ class BayDims:
     def __post_init__(self) -> None:
         for name in ("n1", "n2", "n3"):
             require_int(name, getattr(self, name), 1)
+        # Arrays over the cells are indexed by numpy's intp, whose largest value is
+        # sys.maxsize, so a larger bay has no array form.
+        if self.capacity > sys.maxsize:
+            raise InvalidSpec(
+                f"cannot hold a {self} bay: its {self.capacity} cells exceed the index limit "
+                f"{sys.maxsize}"
+            )
 
     @property
     def floor_capacity(self) -> int:

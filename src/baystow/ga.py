@@ -14,12 +14,13 @@ in scan order, with the absent ids in the order they appear in the second
 parent. Internally individuals are stored as id sequences over the canonical
 scan order, which turns all operators into flat array operations. Each
 operator exists once: roulette selection is `_roulette`, every swap (init,
-mutation, `shuffle_ids`) is `arrangement._transpose_rows`, and crossover is
-`_order_fill`. The public operators accept and return `Arrangement` values
-and call that core, so a run is reproducible whether it is driven by `run`
-or stepped manually. The core reads each per-instance constant from its
-one owner: priorities from `Instance.priority_vector()`, built once per
-instance, and above-counts and scan coordinates from the cached `bay` ones.
+mutation, `shuffle_ids`) is `arrangement._transpose_rows`, one gather and
+one scatter per step for all rows, and crossover is `_order_fill`, after one
+broadcast has built every pair's out-of-box mask from the axis ranges. The public operators accept and return `Arrangement` values and call
+that core, so a run is reproducible whether it is driven by `run` or stepped
+manually. The core reads each per-instance constant from its one owner:
+priorities from `Instance.priority_vector()`, built once per instance, and
+above-counts from the cached `bay` ones.
 """
 
 from __future__ import annotations
@@ -148,7 +149,6 @@ def _step_seqs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """One generation over the sequence matrix; returns (population, fitness) sorted ascending."""
     dims, nc = instance.dims, instance.n_containers
-    xs, ys, zs = (axis[:nc] for axis in scan_coords(dims))
     n = cfg.pop_size
     n_pairs = (n + 1) // 2
     parents = _roulette(fits, rng.random((n_pairs, 2)))
@@ -158,12 +158,20 @@ def _step_seqs(
 
     # Incumbents, then each pair's parents standing in as its two children.
     pool = seqs[np.concatenate([np.arange(n), parents.ravel()])]
+    # Every pair's out-of-box mask at once, over the (z, x, y) scan grid of the
+    # floors that the first nc scan cells reach. Masking all pairs, not only the
+    # crossing ones, keeps the array one size all run; a size that changes each
+    # generation fragmented the heap and raised peak RSS.
+    floors = -(-nc // dims.floor_capacity)
+    px, py, pz = planes.T[:, :, None, None, None]
+    z, x, y = np.arange(floors)[:, None, None], np.arange(dims.n1)[:, None], np.arange(dims.n2)
+    outside = (z >= pz) | (x >= px) | (y >= py)
+    outside = outside.reshape(n_pairs, floors * dims.floor_capacity)[:, :nc]
     mark = np.zeros(nc + 1, dtype=bool)
-    for p in np.flatnonzero(do_crossover):
-        i, j = parents[p]
-        outside = (xs >= planes[p, 0]) | (ys >= planes[p, 1]) | (zs >= planes[p, 2])
-        _order_fill(pool[n + 2 * p], seqs[j], outside, mark)
-        _order_fill(pool[n + 2 * p + 1], seqs[i], outside, mark)
+    crossing = np.flatnonzero(do_crossover)
+    for p, (i, j) in zip(crossing.tolist(), parents[crossing].tolist()):
+        _order_fill(pool[n + 2 * p], seqs[j], outside[p], mark)
+        _order_fill(pool[n + 2 * p + 1], seqs[i], outside[p], mark)
     offspring = pool[n : 2 * n]
 
     mutate_flags = rng.random(n) < cfg.mutation_prob

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from baystow import BayDims, Cell, canonical_above_counts, scan_coords
+from baystow import BayDims, Cell, InvalidSpec, canonical_above_counts, scan_coords
 
 
 def cells(pairs):
@@ -37,6 +37,12 @@ class TestBayDims:
     def test_rejects_non_integer(self):
         with pytest.raises(ValueError):
             BayDims(2.0, 2, 2)
+
+    def test_capacity_bounded_by_index_limit(self):
+        limit = np.iinfo(np.intp).max
+        assert BayDims(limit, 1, 1).capacity == limit
+        with pytest.raises(InvalidSpec, match="exceed the index limit"):
+            BayDims(limit, 2, 1)
 
     def test_contains(self):
         dims = BayDims(2, 3, 4)

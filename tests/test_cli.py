@@ -307,8 +307,12 @@ class TestUsage:
             ["sweep", "containers", "--values", "4,x"],
             ["generate", "--dims", "2x2x2", "--nc", "4", "--date-range", "5"],
             ["generate", "--dims", "2x2x2", "--nc", "4", "--date-range", "a:b"],
+            ["generate", "--dims", "99999999999999999999x2x2", "--nc", "1"],
+            ["sweep", "population", "--values", "4", "--dims", "99999999999999999999x2x2",
+             "--nc", "1"],
         ],
-        ids=["dims", "values", "date-range-no-colon", "date-range-not-numbers"],
+        ids=["dims", "values", "date-range-no-colon", "date-range-not-numbers",
+             "generate-dims-past-index-limit", "sweep-dims-past-index-limit"],
     )
     def test_bad_flag_value_is_usage_error(self, tmp_path, capsys, argv):
         assert main([*argv, "--out", str(tmp_path / "x")]) == 1

@@ -109,12 +109,25 @@ class TestRouletteSelect:
         with pytest.raises(ValueError):
             roulette_select([1.0, -0.5], rng)
 
+    @pytest.mark.parametrize(
+        "fits, seed",
+        [([2.5], 1), ([3.0, 3.0, 3.0, 3.0], 42), ([0.0, 3.0], 7), ([0.0, 0.0, 7.5, 1.0, 0.25], 3)],
+    )
+    def test_replays_vectorised_roulette(self, fits, seed):
+        """Each call draws one uniform, so n calls equal one `_roulette` over n uniforms."""
+        rng_calls, rng_batch = np.random.default_rng(seed), np.random.default_rng(seed)
+        picks = [roulette_select(fits, rng_calls) for _ in range(1_000)]
+        expected = baystow.ga._roulette(np.asarray(fits), rng_batch.random(1_000))
+        np.testing.assert_array_equal(picks, expected)
+        assert rng_calls.random() == rng_batch.random()
+
+    # The distribution tests draw 100,000 picks in one `_roulette` call; by the
+    # replay test above these are the picks of 100,000 `roulette_select` calls.
     def test_uniform_when_fitnesses_equal(self):
         rng = np.random.default_rng(42)
         draws = 100_000
-        counts = np.bincount(
-            [roulette_select([3.0, 3.0, 3.0, 3.0], rng) for _ in range(draws)], minlength=4
-        )
+        picks = baystow.ga._roulette(np.asarray([3.0, 3.0, 3.0, 3.0]), rng.random(draws))
+        counts = np.bincount(picks, minlength=4)
         p = 0.25
         sigma = np.sqrt(p * (1 - p) * draws)
         assert np.all(np.abs(counts - p * draws) < 3 * sigma)
@@ -123,7 +136,7 @@ class TestRouletteSelect:
         # weights 1/(1+F): F=(0,3) gives (1, 0.25), probabilities (0.8, 0.2)
         rng = np.random.default_rng(7)
         draws = 100_000
-        hits = sum(roulette_select([0.0, 3.0], rng) == 0 for _ in range(draws))
+        hits = np.count_nonzero(baystow.ga._roulette(np.asarray([0.0, 3.0]), rng.random(draws)) == 0)
         sigma = np.sqrt(0.8 * 0.2 * draws)
         assert abs(hits - 0.8 * draws) < 3 * sigma
 
