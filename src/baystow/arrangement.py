@@ -14,7 +14,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .bay import BayDims, Cell, scan_coords
+from .bay import BayDims, Cell, cell_coords, scan_coords
 from .errors import ShapeMismatch
 from .instances import Instance
 
@@ -169,7 +169,9 @@ def validate(arr: Arrangement, instance: Instance) -> list[Violation]:
     Violations are data, not errors: each entry names the broken constraint
     and the offending cell or floor. Checked independently of each other:
     the id permutation, support (no floating containers), floor counts
-    non-increasing with height, and the canonical occupancy pattern.
+    non-increasing with height, and the canonical occupancy pattern. Each
+    check finds its violations with array operations, and Python loops only
+    over the violations found.
     """
     if arr.dims != instance.dims:
         raise ShapeMismatch(f"arrangement dims {arr.dims} != instance dims {instance.dims}")
@@ -178,55 +180,41 @@ def validate(arr: Arrangement, instance: Instance) -> list[Violation]:
     occupied = arr.grid != EMPTY
     violations: list[Violation] = []
 
-    ids = arr.grid[occupied]
-    values, counts = np.unique(ids, return_counts=True)
-    for value, count in zip(values, counts):
+    values, counts = np.unique(arr.grid[occupied], return_counts=True)
+    foreign = (values < 1) | (values > nc)
+    flagged = (counts > 1) | foreign
+    for value, count, alien in zip(*(col[flagged].tolist() for col in (values, counts, foreign))):
         if count > 1:
-            violations.append(
-                Violation("permutation", f"id {value}", f"appears in {count} cells")
-            )
-        if not 1 <= value <= nc:
-            violations.append(
-                Violation("permutation", f"id {value}", "not part of the instance")
-            )
-    for missing in sorted(set(range(1, nc + 1)) - set(values.tolist())):
-        violations.append(Violation("permutation", f"id {missing}", "placed nowhere"))
+            violations.append(Violation("permutation", f"id {value}", f"appears in {count} cells"))
+        if alien:
+            violations.append(Violation("permutation", f"id {value}", "not part of the instance"))
+    placed = np.zeros(nc + 1, dtype=bool)
+    placed[values[~foreign]] = True
+    for missing in np.flatnonzero(~placed[1:]).tolist():
+        violations.append(Violation("permutation", f"id {missing + 1}", "placed nowhere"))
 
     floating = occupied[:, :, 1:] & ~occupied[:, :, :-1]
-    for x, y, z in np.argwhere(floating):
+    for x, y, z in np.argwhere(floating).tolist():
         violations.append(
             Violation("support", f"cell ({x}, {y}, {z + 1})", "occupied cell with empty cell below")
         )
 
-    floor_counts = occupied.sum(axis=(0, 1))
-    for j in range(dims.n3 - 1):
-        if floor_counts[j] < floor_counts[j + 1]:
-            violations.append(
-                Violation(
-                    "floor-monotonicity",
-                    f"floor {j}",
-                    f"holds {floor_counts[j]} containers, floor {j + 1} holds {floor_counts[j + 1]}",
-                )
+    floor_counts = occupied.sum(axis=(0, 1)).tolist()
+    for j in np.flatnonzero(np.diff(floor_counts) > 0).tolist():
+        violations.append(
+            Violation(
+                "floor-monotonicity",
+                f"floor {j}",
+                f"holds {floor_counts[j]} containers, floor {j + 1} holds {floor_counts[j + 1]}",
             )
+        )
 
     occupied_scan = arr.scan_vector() != EMPTY
-    canonical = np.arange(dims.capacity) < nc
-    xs, ys, zs = scan_coords(dims)
-    for k in np.flatnonzero(occupied_scan & ~canonical):
-        violations.append(
-            Violation(
-                "occupancy",
-                f"cell ({xs[k]}, {ys[k]}, {zs[k]})",
-                "occupied outside the canonical fill pattern",
-            )
-        )
-    for k in np.flatnonzero(canonical & ~occupied_scan):
-        violations.append(
-            Violation(
-                "occupancy",
-                f"cell ({xs[k]}, {ys[k]}, {zs[k]})",
-                "canonical fill cell left empty",
-            )
-        )
+    for positions, detail in (
+        (np.flatnonzero(occupied_scan[nc:]) + nc, "occupied outside the canonical fill pattern"),
+        (np.flatnonzero(~occupied_scan[:nc]), "canonical fill cell left empty"),
+    ):
+        for x, y, z in zip(*(c.tolist() for c in cell_coords(dims, positions))):
+            violations.append(Violation("occupancy", f"cell ({x}, {y}, {z})", detail))
 
     return violations

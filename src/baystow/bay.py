@@ -64,15 +64,20 @@ class BayDims:
         return f"{self.n1}x{self.n2}x{self.n3}"
 
 
+def cell_coords(dims: BayDims, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Coordinate vectors (x, y, z) of the cells at the given scan positions."""
+    z, rest = np.divmod(positions, dims.floor_capacity)
+    x, y = np.divmod(rest, dims.n2)
+    return x, y, z
+
+
 @lru_cache(maxsize=None)
 def scan_coords(dims: BayDims) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Coordinate vectors (x, y, z) of every cell, indexed by scan position."""
-    positions = np.arange(dims.capacity)
-    z, rest = np.divmod(positions, dims.floor_capacity)
-    x, y = np.divmod(rest, dims.n2)
-    for axis in (x, y, z):
+    coords = cell_coords(dims, np.arange(dims.capacity))
+    for axis in coords:
         axis.setflags(write=False)
-    return x, y, z
+    return coords
 
 
 @lru_cache(maxsize=None)
@@ -93,3 +98,24 @@ def canonical_above_counts(dims: BayDims, count: int) -> np.ndarray:
     above = heights[column] - 1 - z
     above.setflags(write=False)
     return above
+
+
+@lru_cache(maxsize=None)
+def canonical_plane_masks(dims: BayDims, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-axis plane tables (x, y, z) over the first `count` scan cells.
+
+    Row p of the x table marks the cells whose x >= p, for p in 0..n1; the
+    y and z tables do the same along their axes. So the cells outside the
+    box {x < px, y < py, z < pz} are ``x[px] | y[py] | z[pz]``. The tables
+    hold ``count * (n1 + n2 + n3 + 3)`` bools, built from the coordinates of
+    those cells alone rather than from `scan_coords` over the whole bay.
+    """
+    if count > dims.capacity:
+        raise ValueError(f"{count} containers exceed bay capacity {dims.capacity}")
+    coords = cell_coords(dims, np.arange(count))
+    tables = tuple(
+        coord >= np.arange(n + 1)[:, None] for coord, n in zip(coords, (dims.n1, dims.n2, dims.n3))
+    )
+    for table in tables:
+        table.setflags(write=False)
+    return tables

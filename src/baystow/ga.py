@@ -15,12 +15,15 @@ parent. Internally individuals are stored as id sequences over the canonical
 scan order, which turns all operators into flat array operations. Each
 operator exists once: roulette selection is `_roulette`, every swap (init,
 mutation, `shuffle_ids`) is `arrangement._transpose_rows`, one gather and
-one scatter per step for all rows, and crossover is `_order_fill`, after one
-broadcast has built every pair's out-of-box mask from the axis ranges. The public operators accept and return `Arrangement` values and call
-that core, so a run is reproducible whether it is driven by `run` or stepped
-manually. The core reads each per-instance constant from its one owner:
-priorities from `Instance.priority_vector()`, built once per instance, and
-above-counts from the cached `bay` ones.
+one scatter per step for all rows, and crossover is `_order_fill`, after
+every pair's out-of-box mask has been read from three cached per-axis plane
+tables, ``x[px] | y[py] | z[pz]``. The public operators accept and return
+`Arrangement` values and call that core, so a run is reproducible whether it
+is driven by `run` or stepped manually. The core reads each per-instance
+constant from its one owner and rebuilds none of them per step: offspring
+fitness gathers priorities by id from `Instance.priority_by_id()`, built once
+per instance, and multiplies them by the cached `bay` above-counts; the plane
+tables are cached in `bay` too, and `run` builds them before the population.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import numpy as np
 
 from ._rng import mask_seed, require_seed
 from .arrangement import Arrangement, _transpose_rows, shuffle_ids
-from .bay import canonical_above_counts, scan_coords
+from .bay import canonical_above_counts, canonical_plane_masks, scan_coords
 from .errors import InvalidSpec, ShapeMismatch, require_int
 from .evaluation import _require_valid
 from .instances import Instance
@@ -105,7 +108,7 @@ class RunStats:
 def _batch_fitness(seqs: np.ndarray, instance: Instance) -> np.ndarray:
     """Fitness of each row of an id-sequence matrix."""
     above = canonical_above_counts(instance.dims, instance.n_containers)
-    return instance.priority_vector()[seqs - 1] @ above
+    return instance.priority_by_id().take(seqs) @ above
 
 
 def _roulette(fits: np.ndarray, u: float | np.ndarray) -> np.ndarray:
@@ -158,15 +161,12 @@ def _step_seqs(
 
     # Incumbents, then each pair's parents standing in as its two children.
     pool = seqs[np.concatenate([np.arange(n), parents.ravel()])]
-    # Every pair's out-of-box mask at once, over the (z, x, y) scan grid of the
-    # floors that the first nc scan cells reach. Masking all pairs, not only the
-    # crossing ones, keeps the array one size all run; a size that changes each
-    # generation fragmented the heap and raised peak RSS.
-    floors = -(-nc // dims.floor_capacity)
-    px, py, pz = planes.T[:, :, None, None, None]
-    z, x, y = np.arange(floors)[:, None, None], np.arange(dims.n1)[:, None], np.arange(dims.n2)
-    outside = (z >= pz) | (x >= px) | (y >= py)
-    outside = outside.reshape(n_pairs, floors * dims.floor_capacity)[:, :nc]
+    # Every pair's out-of-box mask at once, three table rows per pair. Masking
+    # all pairs, not only the crossing ones, keeps the array one size all run;
+    # a size that changes each generation fragmented the heap and raised peak RSS.
+    tx, ty, tz = canonical_plane_masks(dims, nc)
+    px, py, pz = planes.T
+    outside = tx[px] | ty[py] | tz[pz]
     mark = np.zeros(nc + 1, dtype=bool)
     crossing = np.flatnonzero(do_crossover)
     for p, (i, j) in zip(crossing.tolist(), parents[crossing].tolist()):
@@ -268,6 +268,9 @@ def run(instance: Instance, cfg: GaConfig) -> RunStats:
     for the wall-clock `elapsed_ms` fields.
     """
     rng = np.random.default_rng(mask_seed(cfg.seed))
+    # Built before the population, so the long-lived tables do not land above
+    # it in the heap; built lazily, they raised peak RSS.
+    canonical_plane_masks(instance.dims, instance.n_containers)
     records = []
     for generation in range(1, cfg.generations + 1):
         started = time.perf_counter()

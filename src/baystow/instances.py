@@ -55,19 +55,24 @@ class Instance:
             problem = f"duplicate container id {cid}" if cid < rank else f"id {rank} missing, got {cid}"
             raise InvalidSpec(f"container ids must be exactly 1..{nc}: {problem}")
         # Built after the id check, so every id fits an int64 index.
-        positions = np.fromiter((c.id - 1 for c in self.containers), np.int64, nc)
+        index = np.fromiter((c.id for c in self.containers), np.int64, nc)
         dates = np.fromiter((c.delivery_date for c in self.containers), np.float64, nc)
-        priorities = np.empty(nc)
-        priorities[positions] = 1.0 / dates
-        priorities.setflags(write=False)
-        object.__setattr__(self, "_priorities", priorities)
+        by_id = np.zeros(nc + 1)
+        by_id[index] = 1.0 / dates
+        by_id.setflags(write=False)
+        object.__setattr__(self, "_by_id", by_id)
+        object.__setattr__(self, "_priorities", by_id[1:])
 
     @property
     def n_containers(self) -> int:
         return len(self.containers)
 
+    def priority_by_id(self) -> np.ndarray:
+        """Priorities indexed by id, entry 0 unused (0.0): one read-only array, built at construction."""
+        return self._by_id
+
     def priority_vector(self) -> np.ndarray:
-        """Priorities indexed by id - 1: one read-only array, built at construction."""
+        """Priorities indexed by id - 1: the view of `priority_by_id()` without entry 0."""
         return self._priorities
 
 

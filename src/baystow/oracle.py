@@ -55,9 +55,7 @@ def exhaustive_optimum(instance: Instance) -> OracleResult:
             f"exhaustive search is capped at {EXHAUSTIVE_LIMIT}"
         )
     perms = _all_permutations(nc)
-    above = canonical_above_counts(instance.dims, nc)
-    priorities = instance.priority_vector()
-    costs = priorities[perms - 1] @ above if nc else np.zeros(1)
+    costs = instance.priority_by_id().take(perms) @ canonical_above_counts(instance.dims, nc)
     witness = Arrangement.from_id_sequence(instance.dims, perms[int(np.argmin(costs))])
     return OracleResult(fitness(witness, instance).fitness, witness)
 

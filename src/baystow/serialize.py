@@ -19,7 +19,7 @@ from typing import Any
 import numpy as np
 
 from .arrangement import Arrangement
-from .bay import BayDims, Cell
+from .bay import BayDims, Cell, cell_coords
 from .errors import InvalidSpec, ParseError
 from .ga import GenerationRecord, RunStats
 from .instances import Container, Instance
@@ -89,7 +89,7 @@ def write_instance(instance: Instance, path: str | Path) -> None:
             {"id": c.id, "delivery_date": c.delivery_date} for c in instance.containers
         ],
     }
-    Path(path).write_text(json.dumps(document, indent=2) + "\n")
+    Path(path).write_text(json.dumps(document) + "\n")
 
 
 def read_instance(path: str | Path) -> Instance:
@@ -117,14 +117,16 @@ def read_instance(path: str | Path) -> Instance:
 
 
 def write_arrangement(arr: Arrangement, path: str | Path) -> None:
+    vector = arr.scan_vector()
+    occupied = np.flatnonzero(vector)
+    columns = (*cell_coords(arr.dims, occupied), vector[occupied])
     document = {
         "dims": {"n1": arr.dims.n1, "n2": arr.dims.n2, "n3": arr.dims.n3},
         "cells": [
-            {"x": cell.x, "y": cell.y, "z": cell.z, "id": cid}
-            for cell, cid in arr.occupied_cells()
+            {"x": x, "y": y, "z": z, "id": cid} for x, y, z, cid in zip(*(c.tolist() for c in columns))
         ],
     }
-    Path(path).write_text(json.dumps(document, indent=2) + "\n")
+    Path(path).write_text(json.dumps(document) + "\n")
 
 
 def read_arrangement(path: str | Path) -> Arrangement:

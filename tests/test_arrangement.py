@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from baystow import (
     Arrangement,
@@ -7,8 +9,10 @@ from baystow import (
     Cell,
     InvalidSpec,
     ShapeMismatch,
+    Violation,
     above_count,
     canonical_fill,
+    scan_coords,
     shuffle_ids,
     validate,
 )
@@ -169,6 +173,116 @@ class TestValidate:
         other = make_instance((3, 3, 1), [1.0] * 4)
         with pytest.raises(ShapeMismatch):
             validate(canonical_fill(other), inst)
+
+
+def reference_validate(arr, instance):
+    """`validate` as a loop over every id, floor and cell; the vectorised form must match it."""
+    dims, nc = arr.dims, instance.n_containers
+    occupied = arr.grid != 0
+    violations = []
+    values, counts = np.unique(arr.grid[occupied], return_counts=True)
+    for value, count in zip(values, counts):
+        if count > 1:
+            violations.append(Violation("permutation", f"id {value}", f"appears in {count} cells"))
+        if not 1 <= value <= nc:
+            violations.append(Violation("permutation", f"id {value}", "not part of the instance"))
+    for missing in sorted(set(range(1, nc + 1)) - set(values.tolist())):
+        violations.append(Violation("permutation", f"id {missing}", "placed nowhere"))
+    for x, y, z in np.argwhere(occupied[:, :, 1:] & ~occupied[:, :, :-1]):
+        violations.append(
+            Violation("support", f"cell ({x}, {y}, {z + 1})", "occupied cell with empty cell below")
+        )
+    floor_counts = occupied.sum(axis=(0, 1))
+    for j in range(dims.n3 - 1):
+        if floor_counts[j] < floor_counts[j + 1]:
+            violations.append(
+                Violation(
+                    "floor-monotonicity",
+                    f"floor {j}",
+                    f"holds {floor_counts[j]} containers, floor {j + 1} holds {floor_counts[j + 1]}",
+                )
+            )
+    occupied_scan = arr.scan_vector() != 0
+    canonical = np.arange(dims.capacity) < nc
+    xs, ys, zs = scan_coords(dims)
+    for k in np.flatnonzero(occupied_scan & ~canonical):
+        violations.append(
+            Violation("occupancy", f"cell ({xs[k]}, {ys[k]}, {zs[k]})", "occupied outside the canonical fill pattern")
+        )
+    for k in np.flatnonzero(canonical & ~occupied_scan):
+        violations.append(Violation("occupancy", f"cell ({xs[k]}, {ys[k]}, {zs[k]})", "canonical fill cell left empty"))
+    return violations
+
+
+DEFECTS = ("duplicate", "foreign", "emptied", "floating")
+
+
+@st.composite
+def defective_arrangements(draw):
+    """A shuffled canonical fill with one injected defect, and the violation that names it.
+
+    Returns (instance, arrangement, expected): `expected` maps each violation
+    the defect must cause to 1, its number of occurrences in the report.
+    """
+    kind = draw(st.sampled_from(DEFECTS))
+    # a duplicate needs two containers; a floating cell needs a free cell above a free cell
+    n1 = draw(st.integers(2 if kind == "duplicate" else 1, 4))
+    n3 = draw(st.integers(3 if kind == "floating" else 1, 4))
+    dims = BayDims(n1, draw(st.integers(1, 4)), n3)
+    high = dims.capacity - dims.floor_capacity - 1 if kind == "floating" else dims.capacity
+    nc = draw(st.integers(2 if kind == "duplicate" else 1, high))
+    inst = make_instance((dims.n1, dims.n2, dims.n3), [1.0] * nc)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vector = shuffle_ids(canonical_fill(inst), rng, nc).scan_vector().copy()
+    xs, ys, zs = scan_coords(dims)
+
+    def where(position):
+        return f"cell ({xs[position]}, {ys[position]}, {zs[position]})"
+
+    k = draw(st.integers(0, nc - 1))
+    lost = int(vector[k])
+    if kind == "duplicate":
+        other = draw(st.integers(0, nc - 2))
+        other += other >= k
+        vector[k] = vector[other]
+        expected = [("permutation", f"id {vector[k]}", "appears in 2 cells")]
+    elif kind == "foreign":
+        vector[k] = draw(st.sampled_from([nc + 1, nc + 7, -3]))
+        expected = [("permutation", f"id {vector[k]}", "not part of the instance")]
+    elif kind == "emptied":
+        vector[k] = 0
+        expected = [("occupancy", where(k), "canonical fill cell left empty")]
+    else:
+        # the last canonical cell has nothing above it; its id moves to a cell above a gap
+        k = nc - 1
+        lost = None
+        target = draw(st.integers(nc + dims.floor_capacity, dims.capacity - 1))
+        vector[target], vector[k] = vector[k], 0
+        expected = [("support", where(target), "occupied cell with empty cell below")]
+    if lost is not None:
+        expected.append(("permutation", f"id {lost}", "placed nowhere"))
+    return inst, Arrangement.from_scan_vector(dims, vector), {Violation(*v): 1 for v in expected}
+
+
+class TestValidateProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(defective_arrangements())
+    def test_each_injected_defect_reported_once(self, case):
+        inst, arr, expected = case
+        report = validate(arr, inst)
+        assert {v: report.count(v) for v in expected} == expected
+        assert report == reference_validate(arr, inst)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3), st.integers(0, 2**32 - 1))
+    def test_random_grids_match_reference(self, n1, n2, n3, seed):
+        """Arbitrary grids, valid or not, get the reference report, in the same order."""
+        rng = np.random.default_rng(seed)
+        nc = int(rng.integers(0, n1 * n2 * n3 + 1))
+        inst = make_instance((n1, n2, n3), [1.0] * nc)
+        grid = rng.integers(-1, nc + 3, size=(n1, n2, n3)) * (rng.random((n1, n2, n3)) < 0.7)
+        arr = Arrangement(BayDims(n1, n2, n3), grid)
+        assert validate(arr, inst) == reference_validate(arr, inst)
 
 
 class TestArrangementValue:

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from baystow import BayDims, Cell, InvalidSpec, canonical_above_counts, scan_coords
+from baystow.bay import canonical_plane_masks
 
 
 def cells(pairs):
@@ -121,3 +124,35 @@ class TestCanonicalAboveCounts:
     def test_capacity_guard(self):
         with pytest.raises(ValueError, match="9 containers exceed bay capacity 8"):
             canonical_above_counts(BayDims(2, 2, 2), 9)
+
+
+@st.composite
+def bays_and_counts(draw):
+    dims = BayDims(*(draw(st.integers(1, 5)) for _ in range(3)))
+    return dims, draw(st.integers(0, dims.capacity))
+
+
+class TestCanonicalPlaneMasks:
+    @settings(max_examples=60, deadline=None)
+    @given(bays_and_counts())
+    def test_tables_match_coordinate_comparison(self, case):
+        """Every box {x < px, y < py, z < pz}, planes in 1..n, read from the tables equals the comparison."""
+        dims, nc = case
+        tx, ty, tz = canonical_plane_masks(dims, nc)
+        assert (tx.shape, ty.shape, tz.shape) == ((dims.n1 + 1, nc), (dims.n2 + 1, nc), (dims.n3 + 1, nc))
+        xs, ys, zs = (axis[:nc] for axis in scan_coords(dims))
+        for px in range(1, dims.n1 + 1):
+            for py in range(1, dims.n2 + 1):
+                for pz in range(1, dims.n3 + 1):
+                    expected = (xs >= px) | (ys >= py) | (zs >= pz)
+                    np.testing.assert_array_equal(tx[px] | ty[py] | tz[pz], expected)
+
+    def test_tables_read_only_and_cached(self):
+        tables = canonical_plane_masks(BayDims(2, 3, 2), 7)
+        assert canonical_plane_masks(BayDims(2, 3, 2), 7) is tables
+        with pytest.raises(ValueError):
+            tables[0][0, 0] = True
+
+    def test_capacity_guard(self):
+        with pytest.raises(ValueError, match="9 containers exceed bay capacity 8"):
+            canonical_plane_masks(BayDims(2, 2, 2), 9)

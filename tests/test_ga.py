@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -315,6 +317,24 @@ class TestEvolveStep:
         for _ in range(50):
             pop = evolve_step(pop, inst, cfg, rng)
         assert all(validate(arr, inst) == [] for arr in pop)
+
+    def test_step_memory_is_pool_plus_one_matrix(self):
+        """One step at pop 50 x Nc 8000 allocates the 2N-row pool, one float matrix and little else.
+
+        The offspring fitness gathers priorities by id straight into that float
+        matrix; a second N x Nc temporary (such as `seqs - 1`) breaks the bound.
+        """
+        inst = generate_instance(GeneratorSpec(BayDims(20, 20, 20), 8000, seed=1))
+        cfg = GaConfig(pop_size=50)
+        seqs = baystow.ga._init_seqs(inst, cfg, np.random.default_rng(0))
+        fits = baystow.ga._batch_fitness(seqs, inst)
+        tracemalloc.start()
+        try:
+            baystow.ga._step_seqs(seqs, fits, inst, cfg, np.random.default_rng(1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * seqs.nbytes
 
 
 class TestRun:

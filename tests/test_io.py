@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from baystow import (
+    Arrangement,
     BayDims,
     GaConfig,
     GeneratorSpec,
@@ -142,6 +143,34 @@ class TestArrangementFiles:
         }))
         with pytest.raises(ParseError, match="locked"):
             read_arrangement(path)
+
+
+class TestCompactFiles:
+    def test_one_line_documents_round_trip(self, tmp_path, rng):
+        """Both JSON writers emit one compact line holding the documented structure, read back unchanged."""
+        inst = generate_instance(GeneratorSpec(BayDims(4, 3, 3), 29, seed=5))
+        arr = shuffle_ids(canonical_fill(inst), rng, 29)
+        # a non-canonical occupancy: the last container moved to the top corner
+        vector = arr.scan_vector().copy()
+        vector[-1], vector[28] = vector[28], 0
+        sparse = Arrangement.from_scan_vector(inst.dims, vector)
+        dims = {"n1": 4, "n2": 3, "n3": 3}
+        for obj, write, read, document in (
+            (inst, write_instance, read_instance, {
+                "dims": dims,
+                "containers": [{"id": c.id, "delivery_date": c.delivery_date} for c in inst.containers],
+            }),
+            (sparse, write_arrangement, read_arrangement, {
+                "dims": dims,
+                "cells": [{"x": c.x, "y": c.y, "z": c.z, "id": i} for c, i in sparse.occupied_cells()],
+            }),
+        ):
+            path = tmp_path / "file.json"
+            write(obj, path)
+            text = path.read_text()
+            assert text.count("\n") == 1 and text.endswith("\n")
+            assert text == json.dumps(document) + "\n"
+            assert read(path) == obj
 
 
 class TestStatsFiles:
