@@ -32,8 +32,8 @@ for i, (x, y, z) in enumerate(zip(*scan_coords(dims))):
 # earlier dates mean higher priority 1/date.
 inst = generate_instance(GeneratorSpec(dims, n_containers=9, seed=7, date_min=1.0, date_max=30.0))
 print("\ncontainers (id, delivery date, priority):")
-for c in inst.containers:
-    print(f"  {c.id:2d}  {c.delivery_date:6.2f}  {c.priority:.4f}")
+for cid, (date, priority) in enumerate(zip(inst.delivery_dates, inst.priority_vector()), 1):
+    print(f"  {cid:2d}  {date:6.2f}  {priority:.4f}")
 
 # The canonical fill drops ids 1..Nc into the first Nc scan slots.
 arr = canonical_fill(inst)

@@ -48,7 +48,7 @@ from .ga import (
     roulette_select,
     run,
 )
-from .instances import Container, GeneratorSpec, Instance, generate_instance
+from .instances import GeneratorSpec, Instance, generate_instance
 from .oracle import (
     EXHAUSTIVE_LIMIT,
     OracleResult,
@@ -79,7 +79,6 @@ __all__ = [
     "BayDims",
     "BaystowError",
     "Cell",
-    "Container",
     "CrossoverPlanes",
     "EvalResult",
     "GaConfig",

@@ -14,7 +14,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .bay import BayDims, Cell, cell_coords, scan_coords
+from .bay import BayDims, Cell, cell_coords
 from .errors import ShapeMismatch
 from .instances import Instance
 
@@ -61,10 +61,10 @@ class Arrangement:
 
     def occupied_cells(self) -> Iterator[tuple[Cell, int]]:
         """(cell, id) pairs for occupied cells, in scan order."""
-        xs, ys, zs = scan_coords(self.dims)
         vector = self.scan_vector()
-        for k in np.flatnonzero(vector):
-            yield Cell(int(xs[k]), int(ys[k]), int(zs[k])), int(vector[k])
+        occupied = np.flatnonzero(vector)
+        cells = map(Cell._make, zip(*(c.tolist() for c in cell_coords(self.dims, occupied))))
+        return zip(cells, vector[occupied].tolist())
 
     @classmethod
     def from_scan_vector(cls, dims: BayDims, vector: Sequence[int] | np.ndarray) -> Arrangement:

@@ -1,29 +1,23 @@
 """Evolution engine: roulette selection, box crossover, swap mutation, elitism.
 
-Each generation draws parents by roulette wheel over weights 1 / (1 + F)
-(small F means fit, weights stay finite at F = 0) and gathers one pool: the
-N incumbents, then each pair's two parents as its two children. Crossover
-refills the children of crossing pairs in place inside that pool, mutation
-swaps within it, and the best N of the incumbents and the first N children
-survive. Keeping the incumbents makes the best fitness non-increasing from
-one generation to the next.
+Individuals are id sequences over the canonical scan order, the rows of one
+(N, Nc) matrix that `run` keeps in place beside a list of its rows from
+fittest to least fit. Each generation draws parents by roulette wheel over
+weights 1 / (1 + F) and copies only the N children, each pair's parents
+standing in as its children. Crossover refills the crossing pairs' children,
+mutation swaps within them, and the best N of incumbents and children
+survive, ties to the incumbents, so the best fitness never rises; surviving
+children overwrite the rows of the incumbents that died. Crossover cuts an
+axis-aligned box out of the bay: a child keeps one parent's ids inside it and
+refills the other cells, in scan order, in the other parent's order.
 
-The crossover operator cuts an axis-aligned box out of the bay: the child
-keeps the first parent's ids inside the box and fills the remaining cells,
-in scan order, with the absent ids in the order they appear in the second
-parent. Internally individuals are stored as id sequences over the canonical
-scan order, which turns all operators into flat array operations. Each
-operator exists once: roulette selection is `_roulette`, every swap (init,
-mutation, `shuffle_ids`) is `arrangement._transpose_rows`, one gather and
-one scatter per step for all rows, and crossover is `_order_fill`, after
-every pair's out-of-box mask has been read from three cached per-axis plane
-tables, ``x[px] | y[py] | z[pz]``. The public operators accept and return
-`Arrangement` values and call that core, so a run is reproducible whether it
-is driven by `run` or stepped manually. The core reads each per-instance
-constant from its one owner and rebuilds none of them per step: offspring
-fitness gathers priorities by id from `Instance.priority_by_id()`, built once
-per instance, and multiplies them by the cached `bay` above-counts; the plane
-tables are cached in `bay` too, and `run` builds them before the population.
+Each operator exists once: `_roulette`; `arrangement._transpose_rows` for
+every swap (init, mutation, `shuffle_ids`); `_order_fill`, with out-of-box
+masks ``x[px] | y[py] | z[pz]`` from three cached per-axis plane tables. The
+public operators wrap that core, so a run is reproducible whether `run` drives
+it or it is stepped manually. Fitness gathers `Instance.priority_by_id()` and
+multiplies by the cached `bay` above-counts; `run` builds the plane tables
+before the population.
 """
 
 from __future__ import annotations
@@ -35,7 +29,7 @@ import numpy as np
 
 from ._rng import mask_seed, require_seed
 from .arrangement import Arrangement, _transpose_rows, shuffle_ids
-from .bay import canonical_above_counts, canonical_plane_masks, scan_coords
+from .bay import canonical_above_counts, canonical_plane_masks, cell_coords
 from .errors import InvalidSpec, ShapeMismatch, require_int
 from .evaluation import _require_valid
 from .instances import Instance
@@ -145,22 +139,22 @@ def _init_seqs(instance: Instance, cfg: GaConfig, rng: np.random.Generator) -> n
 
 def _step_seqs(
     seqs: np.ndarray,
+    rows: np.ndarray,
     fits: np.ndarray,
     instance: Instance,
     cfg: GaConfig,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One generation over the sequence matrix; returns (population, fitness) sorted ascending."""
+    """One generation in place; `seqs[rows[k]]` has fitness `fits[k]`. Returns the next (rows, fits)."""
     dims, nc = instance.dims, instance.n_containers
     n = cfg.pop_size
     n_pairs = (n + 1) // 2
-    parents = _roulette(fits, rng.random((n_pairs, 2)))
+    parents = rows[_roulette(fits, rng.random((n_pairs, 2)))]
     do_crossover = rng.random(n_pairs) < cfg.crossover_prob
-    plane_highs = (dims.n1 + 1, dims.n2 + 1, dims.n3 + 1)
-    planes = rng.integers(1, plane_highs, size=(n_pairs, 3))
+    planes = rng.integers(1, (dims.n1 + 1, dims.n2 + 1, dims.n3 + 1), size=(n_pairs, 3))
 
-    # Incumbents, then each pair's parents standing in as its two children.
-    pool = seqs[np.concatenate([np.arange(n), parents.ravel()])]
+    # Each pair's parents stand in as its children; with odd N the last pair has one.
+    children = seqs[parents.ravel()[:n]]
     # Every pair's out-of-box mask at once, three table rows per pair. Masking
     # all pairs, not only the crossing ones, keeps the array one size all run;
     # a size that changes each generation fragmented the heap and raised peak RSS.
@@ -170,20 +164,25 @@ def _step_seqs(
     mark = np.zeros(nc + 1, dtype=bool)
     crossing = np.flatnonzero(do_crossover)
     for p, (i, j) in zip(crossing.tolist(), parents[crossing].tolist()):
-        _order_fill(pool[n + 2 * p], seqs[j], outside[p], mark)
-        _order_fill(pool[n + 2 * p + 1], seqs[i], outside[p], mark)
-    offspring = pool[n : 2 * n]
+        for child, donor in zip(children[2 * p : 2 * p + 2], (j, i)):
+            _order_fill(child, seqs[donor], outside[p], mark)
 
     mutate_flags = rng.random(n) < cfg.mutation_prob
     if nc:
         # A row that does not mutate swaps position 0 with itself.
         pairs = rng.integers(0, nc, size=(n, 2)) * mutate_flags[:, None]
-        _transpose_rows(offspring, pairs[:, None])
-    _check(offspring, instance, cfg)
+        _transpose_rows(children, pairs[:, None])
+    _check(children, instance, cfg)
 
-    pool_fits = np.concatenate([fits, _batch_fitness(offspring, instance)])
-    order = np.argsort(pool_fits, kind="stable")[:n]
-    return pool[order], pool_fits[order]
+    pool_fits = np.concatenate([fits, _batch_fitness(children, instance)])
+    order = np.argsort(pool_fits, kind="stable")
+    survivors, dropped = order[:n], order[n:]
+    # Pool entry k < n lives in row rows[k]; each surviving child takes a dead incumbent's row.
+    pool_rows = np.concatenate([rows, np.empty_like(rows)])
+    born = survivors[survivors >= n]
+    pool_rows[born] = rows[dropped[dropped < n]]
+    seqs[pool_rows[born]] = children[born - n]
+    return pool_rows[survivors], pool_fits[survivors]
 
 
 def init_population(instance: Instance, cfg: GaConfig, rng: np.random.Generator) -> list[Arrangement]:
@@ -221,8 +220,8 @@ def crossover(
     occupied = np.flatnonzero(v1)
     if not np.array_equal(occupied, np.flatnonzero(v2)):
         raise ShapeMismatch("parents do not share an occupancy pattern")
-    xs, ys, zs = scan_coords(dims)
-    outside = (xs[occupied] >= planes.px) | (ys[occupied] >= planes.py) | (zs[occupied] >= planes.pz)
+    xs, ys, zs = cell_coords(dims, occupied)
+    outside = (xs >= planes.px) | (ys >= planes.py) | (zs >= planes.pz)
     s1, s2 = v1[occupied], v2[occupied]
     c1, c2 = s1.copy(), s2.copy()
     mark = np.zeros(int(max(s1.max(initial=0), s2.max(initial=0))) + 1, dtype=bool)
@@ -256,8 +255,8 @@ def evolve_step(
     if len(population) != cfg.pop_size:
         raise ValueError(f"population size {len(population)} != cfg.pop_size {cfg.pop_size}")
     seqs = np.stack([arr.id_sequence() for arr in population])
-    new_seqs, _ = _step_seqs(seqs, _batch_fitness(seqs, instance), instance, cfg, rng)
-    return [Arrangement.from_id_sequence(instance.dims, s) for s in new_seqs]
+    rows, _ = _step_seqs(seqs, np.arange(len(seqs)), _batch_fitness(seqs, instance), instance, cfg, rng)
+    return [Arrangement.from_id_sequence(instance.dims, seqs[r]) for r in rows]
 
 
 def run(instance: Instance, cfg: GaConfig) -> RunStats:
@@ -276,11 +275,12 @@ def run(instance: Instance, cfg: GaConfig) -> RunStats:
         started = time.perf_counter()
         if generation == 1:
             seqs = _init_seqs(instance, cfg, rng)
+            rows = np.arange(cfg.pop_size)
             fits = _batch_fitness(seqs, instance)
         else:
-            seqs, fits = _step_seqs(seqs, fits, instance, cfg, rng)
+            rows, fits = _step_seqs(seqs, rows, fits, instance, cfg, rng)
         elapsed_ms = (time.perf_counter() - started) * 1e3
         records.append(GenerationRecord(generation, float(fits.min()), float(fits.mean()), elapsed_ms))
     best_row = int(np.argmin(fits))
-    best = Arrangement.from_id_sequence(instance.dims, seqs[best_row])
+    best = Arrangement.from_id_sequence(instance.dims, seqs[rows[best_row]])
     return RunStats(tuple(records), best, float(fits[best_row]))

@@ -1,5 +1,6 @@
-"""Problem instances: identical containers with delivery dates in a fixed bay.
+"""Problem instances: a fixed bay plus one delivery date per identical container.
 
+Ids are implicit: entry i of the date vector belongs to container id i + 1.
 A container's priority is the reciprocal of its delivery date, so weights on
 rehandles grow as the delivery deadline approaches. Instances can be built
 directly or drawn reproducibly from a seeded generator specification.
@@ -9,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -17,55 +19,53 @@ from .bay import BayDims
 from .errors import InvalidSpec, require_int
 
 
-@dataclass(frozen=True)
-class Container:
-    """One container, identified by a 1-based id, due at `delivery_date`."""
-
-    id: int
-    delivery_date: float
-
-    def __post_init__(self) -> None:
-        require_int("container id", self.id, 1)
-        if not math.isfinite(self.delivery_date):
-            raise InvalidSpec(f"delivery date must be finite, got {self.delivery_date!r}")
-        if self.delivery_date <= 0:
-            raise InvalidSpec(f"delivery date must be > 0, got {self.delivery_date!r}")
-
-    @property
-    def priority(self) -> float:
-        return 1.0 / self.delivery_date
+def _check_dates(dates: np.ndarray, name: Callable[[int], str]) -> None:
+    """Raise InvalidSpec naming `name(k)` at the first date k not finite, > 0 and of finite 1/date."""
+    with np.errstate(divide="ignore", over="ignore"):
+        bad = np.flatnonzero(~(np.isfinite(dates) & (dates > 0) & np.isfinite(1.0 / dates)))
+    if bad.size:
+        k, date = int(bad[0]), float(dates[bad[0]])
+        rule = "be > 0" if date <= 0 else "have a finite priority 1/date"
+        rule = rule if math.isfinite(date) else "be finite"
+        raise InvalidSpec(f"{name(k)}: delivery date must {rule}, got {date!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Instance:
-    """A bay plus the containers to stow in it; ids run 1..Nc exactly."""
+    """A bay plus the delivery date of each container; `delivery_dates[i]` belongs to id i + 1."""
 
     dims: BayDims
-    containers: tuple[Container, ...]
+    delivery_dates: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "containers", tuple(self.containers))
-        nc = len(self.containers)
+        dates = np.array(self.delivery_dates, dtype=np.float64)
+        if dates.ndim != 1:
+            raise InvalidSpec(f"delivery dates must be a vector, got shape {dates.shape}")
+        nc = dates.size
         if nc > self.dims.capacity:
             raise InvalidSpec(f"{nc} containers exceed bay capacity {self.dims.capacity}")
-        ids = sorted(c.id for c in self.containers)
-        if ids != list(range(1, nc + 1)):
-            # Ids are >= 1, so below its 1-based rank an id repeats the one before it.
-            rank, cid = next((k, i) for k, i in enumerate(ids, 1) if i != k)
-            problem = f"duplicate container id {cid}" if cid < rank else f"id {rank} missing, got {cid}"
-            raise InvalidSpec(f"container ids must be exactly 1..{nc}: {problem}")
-        # Built after the id check, so every id fits an int64 index.
-        index = np.fromiter((c.id for c in self.containers), np.int64, nc)
-        dates = np.fromiter((c.delivery_date for c in self.containers), np.float64, nc)
-        by_id = np.zeros(nc + 1)
-        by_id[index] = 1.0 / dates
+        _check_dates(dates, lambda k: f"container {k + 1}")
+        by_id = np.concatenate([[0.0], 1.0 / dates])
+        # Every fitness is at most the sum of priorities times the deepest canonical above-count.
+        depth = max(nc - 1, 0) // self.dims.floor_capacity
+        with np.errstate(over="ignore"):
+            worst = float(by_id.sum()) * depth
+        if depth and not math.isfinite(worst):
+            raise InvalidSpec(f"delivery dates give a worst-case fitness of {worst}, not finite")
+        dates.setflags(write=False)
         by_id.setflags(write=False)
+        object.__setattr__(self, "delivery_dates", dates)
         object.__setattr__(self, "_by_id", by_id)
         object.__setattr__(self, "_priorities", by_id[1:])
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Instance):
+            return NotImplemented
+        return self.dims == other.dims and np.array_equal(self.delivery_dates, other.delivery_dates)
+
     @property
     def n_containers(self) -> int:
-        return len(self.containers)
+        return self.delivery_dates.size
 
     def priority_by_id(self) -> np.ndarray:
         """Priorities indexed by id, entry 0 unused (0.0): one read-only array, built at construction."""
@@ -102,8 +102,4 @@ class GeneratorSpec:
 def generate_instance(spec: GeneratorSpec) -> Instance:
     """Draw the instance described by `spec`; identical specs give identical output."""
     rng = np.random.default_rng(mask_seed(spec.seed))
-    dates = rng.uniform(spec.date_min, spec.date_max, size=spec.n_containers)
-    containers = tuple(
-        Container(i + 1, float(d)) for i, d in enumerate(dates)
-    )
-    return Instance(spec.dims, containers)
+    return Instance(spec.dims, rng.uniform(spec.date_min, spec.date_max, size=spec.n_containers))

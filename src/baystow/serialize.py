@@ -20,9 +20,9 @@ import numpy as np
 
 from .arrangement import Arrangement
 from .bay import BayDims, Cell, cell_coords
-from .errors import InvalidSpec, ParseError
+from .errors import InvalidSpec, ParseError, require_int
 from .ga import GenerationRecord, RunStats
-from .instances import Container, Instance
+from .instances import Instance, _check_dates
 
 STATS_HEADER = ("generation", "best_fitness", "mean_fitness", "elapsed_ms")
 SWEEP_HEADER = ("swept_value", "mean_fi", "mean_ff", "mean_elapsed_ms")
@@ -86,13 +86,14 @@ def write_instance(instance: Instance, path: str | Path) -> None:
     document = {
         "dims": {"n1": instance.dims.n1, "n2": instance.dims.n2, "n3": instance.dims.n3},
         "containers": [
-            {"id": c.id, "delivery_date": c.delivery_date} for c in instance.containers
+            {"id": i, "delivery_date": d} for i, d in enumerate(instance.delivery_dates.tolist(), 1)
         ],
     }
     Path(path).write_text(json.dumps(document) + "\n")
 
 
 def read_instance(path: str | Path) -> Instance:
+    """The instance in `path`; its containers may come in any id order."""
     path = Path(path)
     root = _require_object(_load_json(path), f"{path}", ("dims", "containers"))
     dims, _ = _parse_dims(root["dims"], f"{path}: dims")
@@ -101,17 +102,26 @@ def read_instance(path: str | Path) -> Instance:
         raise ParseError(f"{path}: containers: expected a list, got {type(raw).__name__}")
     if len(raw) > dims.capacity:
         raise ParseError(f"{path}: {len(raw)} containers exceed bay capacity {dims.capacity}")
-    containers = []
+    ids, dates = [], []
     for index, item in enumerate(raw):
         where = f"{path}: containers[{index}]"
         obj = _require_object(item, where, ("id", "delivery_date"))
-        date = _require_number(obj["delivery_date"], f"{where}.delivery_date")
+        dates.append(_require_number(obj["delivery_date"], f"{where}.delivery_date"))
         try:
-            containers.append(Container(obj["id"], date))
+            require_int("container id", obj["id"], 1)
         except InvalidSpec as exc:
             raise ParseError(f"{where}: {exc}") from exc
+        ids.append(obj["id"])
+    # Ids are >= 1, so below its 1-based rank an id repeats the one before it.
+    for rank, cid in enumerate(sorted(ids), 1):
+        if cid != rank:
+            problem = f"duplicate container id {cid}" if cid < rank else f"id {rank} missing, got {cid}"
+            raise ParseError(f"{path}: container ids must be exactly 1..{len(ids)}: {problem}")
+    dates = np.array(dates)
     try:
-        return Instance(dims, tuple(containers))
+        _check_dates(dates, lambda k: f"containers[{k}]")
+        # The ids are a permutation of 1..Nc, so sorting them puts the dates in id order.
+        return Instance(dims, dates[np.argsort(ids)])
     except InvalidSpec as exc:
         raise ParseError(f"{path}: {exc}") from exc
 

@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from baystow import BayDims, Container, Instance
+from baystow import BayDims, Instance
 
 
 def make_instance(dims, dates):
     """Instance with ids 1..len(dates) and the given delivery dates."""
-    containers = tuple(Container(i + 1, float(d)) for i, d in enumerate(dates))
-    return Instance(BayDims(*dims), containers)
+    return Instance(BayDims(*dims), np.asarray(dates, dtype=float))
 
 
 @pytest.fixture

@@ -14,7 +14,6 @@ import pytest
 
 from baystow import (
     BayDims,
-    Container,
     CrossoverPlanes,
     GaConfig,
     GeneratorSpec,
@@ -268,9 +267,7 @@ def test_criterion_8_structural_suite(tmp_path, verdict):
     dims = BayDims(3, 2, 3)
     plain = generate_instance(GeneratorSpec(dims, 18, seed=1))
     for k in (2.0, 9.5):
-        scaled = Instance(
-            dims, tuple(Container(c.id, k * c.delivery_date) for c in plain.containers)
-        )
+        scaled = Instance(dims, k * plain.delivery_dates)
         for _ in range(20):
             arr = shuffle_ids(canonical_fill(plain), rng, 18)
             f = fitness(arr, plain).fitness

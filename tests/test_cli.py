@@ -58,7 +58,7 @@ class TestGenerate:
         code = main(["generate", "--dims", "3x3x3", "--nc", "20", "--date-range", "2:3",
                      "--out", str(path)])
         assert code == 0
-        assert all(2 <= c.delivery_date <= 3 for c in read_instance(path).containers)
+        assert all(2 <= d <= 3 for d in read_instance(path).delivery_dates)
 
     def test_malformed_dims_is_usage_error(self, tmp_path):
         code = main(["generate", "--dims", "2by2", "--nc", "4", "--out", str(tmp_path / "x.json")])
@@ -209,6 +209,15 @@ class TestValidate:
                          id="instance-containers-object"),
             pytest.param("arrangement", {"dims": {"n1": 2, "n2": 2, "n3": 2}, "cells": {}},
                          id="arrangement-cells-object"),
+            # Finite, positive dates whose priority 1/date, or whose worst-case fitness, overflows.
+            pytest.param("instance", {
+                "dims": {"n1": 2, "n2": 2, "n3": 2},
+                "containers": [{"id": 1, "delivery_date": 1.0}, {"id": 2, "delivery_date": 1e-320}],
+            }, id="instance-date-priority-overflows"),
+            pytest.param("instance", {
+                "dims": {"n1": 1, "n2": 1, "n3": 2},
+                "containers": [{"id": i, "delivery_date": 1e-308} for i in (1, 2)],
+            }, id="instance-worst-case-fitness-overflows"),
         ],
     )
     def test_huge_id_is_parse_error(self, tmp_path, instance_file, capsys, role, document):
@@ -310,9 +319,11 @@ class TestUsage:
             ["generate", "--dims", "99999999999999999999x2x2", "--nc", "1"],
             ["sweep", "population", "--values", "4", "--dims", "99999999999999999999x2x2",
              "--nc", "1"],
+            ["generate", "--dims", "2x2x2", "--nc", "3", "--date-range", "1e-320:1e-319"],
         ],
         ids=["dims", "values", "date-range-no-colon", "date-range-not-numbers",
-             "generate-dims-past-index-limit", "sweep-dims-past-index-limit"],
+             "generate-dims-past-index-limit", "sweep-dims-past-index-limit",
+             "date-range-priority-overflows"],
     )
     def test_bad_flag_value_is_usage_error(self, tmp_path, capsys, argv):
         assert main([*argv, "--out", str(tmp_path / "x")]) == 1

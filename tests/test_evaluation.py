@@ -45,7 +45,7 @@ class TestFitness:
         inst = make_instance((3, 2, 3), list(rng.uniform(1, 50, size=14)))
         arr = shuffle_ids(canonical_fill(inst), rng, 30)
         result = fitness(arr, inst)
-        recomputed = sum(inst.containers[i - 1].priority * m for i, m in result.rehandles.items())
+        recomputed = sum(m / inst.delivery_dates[i - 1] for i, m in result.rehandles.items())
         assert result.fitness == pytest.approx(recomputed, rel=1e-12)
 
     def test_date_scaling_law(self, rng):

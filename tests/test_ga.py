@@ -10,7 +10,6 @@ from baystow import (
     EMPTY,
     Arrangement,
     BayDims,
-    Container,
     CrossoverPlanes,
     GaConfig,
     GeneratorSpec,
@@ -30,6 +29,8 @@ from baystow import (
     shuffle_ids,
     validate,
 )
+from baystow.arrangement import _transpose_rows
+from baystow.bay import canonical_plane_masks
 from conftest import make_instance
 
 
@@ -188,6 +189,20 @@ class TestCrossover:
         with pytest.raises(ShapeMismatch):
             crossover(a, b, CrossoverPlanes(1, 1, 1))
 
+    def test_memory_on_a_sparse_bay(self, rng):
+        """Eight containers in a 200,000-cell bay: a few grids, and no whole-bay coordinates."""
+        inst = make_instance((100, 100, 20), [1.0] * 8)
+        base = canonical_fill(inst)
+        p1, p2 = shuffle_ids(base, rng, 8), shuffle_ids(base, rng, 8)
+        tracemalloc.start()
+        try:
+            children = crossover(p1, p2, CrossoverPlanes(1, 1, 1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(validate(child, inst) == [] for child in children)
+        assert peak < 7 * base.grid.nbytes
+
     def test_plane_out_of_bounds_rejected(self):
         arr = canonical_fill(make_instance((2, 2, 2), [1.0] * 4))
         with pytest.raises(ValueError):
@@ -199,7 +214,7 @@ def crossover_cases(draw):
     """Random bay up to 5x5x5, two shuffled parents over its canonical occupancy, in-bounds planes."""
     dims = BayDims(*(draw(st.integers(1, 5)) for _ in range(3)))
     nc = draw(st.integers(0, dims.capacity))
-    inst = Instance(dims, tuple(Container(i + 1, 1.0) for i in range(nc)))
+    inst = Instance(dims, np.ones(nc))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     p1, p2 = (shuffle_ids(canonical_fill(inst), rng, nc) for _ in range(2))
     planes = CrossoverPlanes(*(draw(st.integers(0, n)) for n in (dims.n1, dims.n2, dims.n3)))
@@ -229,7 +244,7 @@ def pair_cases(draw):
     dims = BayDims(*(draw(st.integers(1, 4)) for _ in range(3)))
     nc = draw(st.integers(0, dims.capacity))
     dates = draw(st.lists(st.sampled_from([1.0, 2.0, 4.0, 8.0]), min_size=nc, max_size=nc))
-    inst = Instance(dims, tuple(Container(i + 1, d) for i, d in enumerate(dates)))
+    inst = Instance(dims, np.array(dates, dtype=float))
     return inst, draw(st.integers(0, 2**32 - 1))
 
 
@@ -319,22 +334,96 @@ class TestEvolveStep:
         assert all(validate(arr, inst) == [] for arr in pop)
 
     def test_step_memory_is_pool_plus_one_matrix(self):
-        """One step at pop 50 x Nc 8000 allocates the 2N-row pool, one float matrix and little else.
+        """One step at pop 50 x Nc 8000 allocates the N children, one float matrix and little else.
 
-        The offspring fitness gathers priorities by id straight into that float
-        matrix; a second N x Nc temporary (such as `seqs - 1`) breaks the bound.
+        The population stays in place: only the N children are gathered, and the
+        survivors are written over the dead incumbents' rows. A 2N-row pool, a
+        copy of the merged population, or a second N x Nc temporary (such as
+        `seqs - 1` in the fitness gather) breaks the bound.
         """
         inst = generate_instance(GeneratorSpec(BayDims(20, 20, 20), 8000, seed=1))
         cfg = GaConfig(pop_size=50)
         seqs = baystow.ga._init_seqs(inst, cfg, np.random.default_rng(0))
         fits = baystow.ga._batch_fitness(seqs, inst)
+        rows = np.arange(cfg.pop_size)
         tracemalloc.start()
         try:
-            baystow.ga._step_seqs(seqs, fits, inst, cfg, np.random.default_rng(1))
+            baystow.ga._step_seqs(seqs, rows, fits, inst, cfg, np.random.default_rng(1))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 3.5 * seqs.nbytes
+        assert peak < 2.5 * seqs.nbytes
+
+
+def reference_step(seqs, fits, instance, cfg, rng):
+    """The pool-and-gather generation the in-place step replaced; returns (population, fitness) sorted.
+
+    It gathers the N incumbents and every pair's two parents into one 2N-row
+    pool, refills and mutates the children there, and gathers the best N rows
+    of the pool. With odd N it builds the last pair's second child and drops it.
+    """
+    dims, nc = instance.dims, instance.n_containers
+    n = cfg.pop_size
+    n_pairs = (n + 1) // 2
+    parents = baystow.ga._roulette(fits, rng.random((n_pairs, 2)))
+    do_crossover = rng.random(n_pairs) < cfg.crossover_prob
+    planes = rng.integers(1, (dims.n1 + 1, dims.n2 + 1, dims.n3 + 1), size=(n_pairs, 3))
+
+    pool = seqs[np.concatenate([np.arange(n), parents.ravel()])]
+    tx, ty, tz = canonical_plane_masks(dims, nc)
+    px, py, pz = planes.T
+    outside = tx[px] | ty[py] | tz[pz]
+    mark = np.zeros(nc + 1, dtype=bool)
+    crossing = np.flatnonzero(do_crossover)
+    for p, (i, j) in zip(crossing.tolist(), parents[crossing].tolist()):
+        baystow.ga._order_fill(pool[n + 2 * p], seqs[j], outside[p], mark)
+        baystow.ga._order_fill(pool[n + 2 * p + 1], seqs[i], outside[p], mark)
+    offspring = pool[n : 2 * n]
+
+    mutate_flags = rng.random(n) < cfg.mutation_prob
+    if nc:
+        pairs = rng.integers(0, nc, size=(n, 2)) * mutate_flags[:, None]
+        _transpose_rows(offspring, pairs[:, None])
+
+    pool_fits = np.concatenate([fits, baystow.ga._batch_fitness(offspring, instance)])
+    order = np.argsort(pool_fits, kind="stable")[:n]
+    return pool[order], pool_fits[order]
+
+
+@st.composite
+def step_cases(draw):
+    """Random bay up to 5x5x5 with any fill, pop 1-9, pc and pm in {0, 0.5, 1}, 1-10 generations."""
+    dims = BayDims(*(draw(st.integers(1, 5)) for _ in range(3)))
+    nc = draw(st.integers(0, dims.capacity))
+    dates = draw(st.lists(st.floats(1.0, 100.0), min_size=nc, max_size=nc))
+    cfg = GaConfig(
+        pop_size=draw(st.integers(1, 9)),
+        crossover_prob=draw(st.sampled_from([0.0, 0.5, 1.0])),
+        mutation_prob=draw(st.sampled_from([0.0, 0.5, 1.0])),
+    )
+    generations, seed = draw(st.integers(1, 10)), draw(st.integers(0, 2**32 - 1))
+    return Instance(dims, np.array(dates)), cfg, generations, seed
+
+
+@settings(max_examples=150, deadline=None)
+@given(step_cases())
+def test_step_matches_reference_step(case):
+    """Generation by generation, the in-place step gives the reference's population and fitness.
+
+    Compared as the population in rank order; at the end the random streams agree too.
+    """
+    inst, cfg, generations, seed = case
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    seqs = baystow.ga._init_seqs(inst, cfg, rng)
+    ref_seqs = baystow.ga._init_seqs(inst, cfg, ref_rng)
+    rows = np.arange(cfg.pop_size)
+    fits = ref_fits = baystow.ga._batch_fitness(seqs, inst)
+    for _ in range(generations):
+        rows, fits = baystow.ga._step_seqs(seqs, rows, fits, inst, cfg, rng)
+        ref_seqs, ref_fits = reference_step(ref_seqs, ref_fits, inst, cfg, ref_rng)
+        np.testing.assert_array_equal(seqs[rows], ref_seqs)
+        np.testing.assert_array_equal(fits, ref_fits)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestRun:

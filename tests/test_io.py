@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from baystow import (
     BayDims,
     GaConfig,
     GeneratorSpec,
+    Instance,
     ParseError,
     STATS_HEADER,
     SWEEP_HEADER,
@@ -46,8 +48,7 @@ class TestInstanceFiles:
         path = tmp_path / "inst.json"
         write_instance(instance, path)
         again = read_instance(path)
-        for a, b in zip(instance.containers, again.containers):
-            assert a.delivery_date == b.delivery_date
+        assert instance.delivery_dates.tobytes() == again.delivery_dates.tobytes()
 
     def test_unknown_field_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -98,6 +99,76 @@ class TestInstanceFiles:
         }))
         with pytest.raises(ParseError, match="delivery date"):
             read_instance(path)
+
+
+    @pytest.mark.parametrize(
+        "containers, problem",
+        [
+            ([(0, 1.0)], "containers[0]: container id must be an integer >= 1, got 0"),
+            ([(1, 1.0), (1.5, 1.0)], "containers[1]: container id must be an integer >= 1, got 1.5"),
+            ([(True, 1.0)], "containers[0]: container id must be an integer >= 1, got True"),
+            ([(2, 1.0), (3, 1.0)], "container ids must be exactly 1..2: id 1 missing, got 2"),
+            ([(2, 1.0), (1, 1.0), (2, 1.0)],
+             "container ids must be exactly 1..3: duplicate container id 2"),
+            ([(2, 1.0), (1, 0.0)], "containers[1]: delivery date must be > 0, got 0.0"),
+            ([(1, -2.5)], "containers[0]: delivery date must be > 0, got -2.5"),
+            ([(2, float("inf")), (1, 1.0)], "containers[0]: delivery date must be finite, got inf"),
+            ([(1, 1.0), (2, float("nan"))], "containers[1]: delivery date must be finite, got nan"),
+            ([(1, 1.0), (2, 1e-320)],
+             "containers[1]: delivery date must have a finite priority 1/date, got 1e-320"),
+            ([(1, 1e-308), (2, 1e-308), (3, 1e-308)],
+             "delivery dates give a worst-case fitness of inf, not finite"),
+        ],
+    )
+    def test_bad_id_or_date_message(self, tmp_path, containers, problem):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({
+            "dims": {"n1": 1, "n2": 2, "n3": 2},
+            "containers": [{"id": cid, "delivery_date": date} for cid, date in containers],
+        }))
+        with pytest.raises(ParseError) as info:
+            read_instance(path)
+        assert str(info.value) == f"{path}: {problem}"
+
+    def test_retains_only_the_date_arrays(self, tmp_path):
+        """At Nc 8000 an instance, generated or read, holds less than four float64 vectors."""
+        nc = 8000
+        spec = GeneratorSpec(BayDims(20, 20, 20), nc, seed=1)
+        path = tmp_path / "inst.json"
+        write_instance(generate_instance(spec), path)
+        for make in (lambda: generate_instance(spec), lambda: read_instance(path)):
+            tracemalloc.start()
+            try:
+                inst = make()
+                retained, _ = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert inst.n_containers == nc
+            assert retained < 4 * 8 * nc
+
+
+@st.composite
+def shuffled_instance_files(draw):
+    """A random instance and a permutation of its container list."""
+    dims = BayDims(*(draw(st.integers(1, 4)) for _ in range(3)))
+    nc = draw(st.integers(0, dims.capacity))
+    dates = draw(st.lists(st.floats(1e-300, 1e300), min_size=nc, max_size=nc))
+    return Instance(dims, np.array(dates)), draw(st.permutations(range(nc)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(shuffled_instance_files())
+def test_shuffled_container_list_reads_back_equal(tmp_path_factory, case):
+    """Ids may come in any order in a file; each keeps its own date."""
+    inst, order = case
+    path = tmp_path_factory.mktemp("shuffled") / "inst.json"
+    write_instance(inst, path)
+    document = json.loads(path.read_text())
+    document["containers"] = [document["containers"][k] for k in order]
+    path.write_text(json.dumps(document))
+    again = read_instance(path)
+    assert again == inst
+    assert again.delivery_dates.tobytes() == inst.delivery_dates.tobytes()
 
 
 class TestArrangementFiles:
@@ -158,7 +229,7 @@ class TestCompactFiles:
         for obj, write, read, document in (
             (inst, write_instance, read_instance, {
                 "dims": dims,
-                "containers": [{"id": c.id, "delivery_date": c.delivery_date} for c in inst.containers],
+                "containers": [{"id": i, "delivery_date": d} for i, d in enumerate(inst.delivery_dates.tolist(), 1)],
             }),
             (sparse, write_arrangement, read_arrangement, {
                 "dims": dims,

@@ -13,7 +13,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from baystow import BayDims, Container, GaConfig, Instance, canonical_fill, shuffle_ids
+from baystow import BayDims, GaConfig, Instance, canonical_fill, shuffle_ids
 from baystow.arrangement import _SWAP_BLOCK, Arrangement, _transpose_rows
 from baystow.ga import _init_seqs
 
@@ -46,7 +46,7 @@ def reference_shuffle(arr: Arrangement, rng: np.random.Generator, swaps: int) ->
 def line_instance(nc: int, height: int = 1) -> Instance:
     """Nc containers in a bay of `height` floors with room for all of them."""
     width = max(1, -(-nc // height))
-    return Instance(BayDims(width, 1, height), tuple(Container(i + 1, 1.0) for i in range(nc)))
+    return Instance(BayDims(width, 1, height), np.ones(nc))
 
 
 @st.composite
