@@ -92,10 +92,8 @@ def canonical_above_counts(dims: BayDims, count: int) -> np.ndarray:
     if count > dims.capacity:
         raise ValueError(f"{count} containers exceed bay capacity {dims.capacity}")
     full_floors, remainder = divmod(count, dims.floor_capacity)
-    heights = full_floors + (np.arange(dims.floor_capacity) < remainder)
-    positions = np.arange(count)
-    z, column = np.divmod(positions, dims.floor_capacity)
-    above = heights[column] - 1 - z
+    z, column = np.divmod(np.arange(count), dims.floor_capacity)
+    above = full_floors - 1 - z + (column < remainder)
     above.setflags(write=False)
     return above
 

@@ -23,6 +23,7 @@ before the population.
 from __future__ import annotations
 
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,8 @@ from .bay import canonical_above_counts, canonical_plane_masks, cell_coords
 from .errors import InvalidSpec, ShapeMismatch, require_int
 from .evaluation import _require_valid
 from .instances import Instance
+
+_FLOAT_MAX = np.finfo(np.float64).max
 
 
 @dataclass(frozen=True)
@@ -76,33 +79,82 @@ class GenerationRecord:
     elapsed_ms: float
 
 
+# One row per generation, one field per `GenerationRecord` field, in its order.
+HISTORY_DTYPE = np.dtype(
+    [("generation", np.int64), ("best_fitness", np.float64), ("mean_fitness", np.float64),
+     ("elapsed_ms", np.float64)]
+)
+
+
+class GenerationHistory(Sequence):
+    """A run's per-generation history as read-only numpy columns.
+
+    `columns` is a structured array with one field per `GenerationRecord`
+    field. Indexing builds a `GenerationRecord` on access; a slice is a
+    history over a view of the same rows.
+    """
+
+    __slots__ = ("columns",)
+
+    def __init__(self, columns: np.ndarray) -> None:
+        columns.setflags(write=False)
+        self.columns = columns
+
+    def __len__(self) -> int:
+        return len(self.columns)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return GenerationHistory(self.columns[index])
+        return GenerationRecord(*self.columns[index].item())
+
+    def __iter__(self):
+        return (GenerationRecord(*row) for row in self.columns.tolist())
+
+
 @dataclass(frozen=True)
 class RunStats:
-    """Per-generation history of a run plus the best arrangement found."""
+    """Per-generation history of a run plus the best arrangement found.
 
-    records: tuple[GenerationRecord, ...]
+    `records` may be given as any sequence of `GenerationRecord`; it is kept
+    as a `GenerationHistory`.
+    """
+
+    records: GenerationHistory
     best: Arrangement
     best_fitness: float
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.records, GenerationHistory):
+            rows = [(r.generation, r.best_fitness, r.mean_fitness, r.elapsed_ms) for r in self.records]
+            object.__setattr__(self, "records", GenerationHistory(np.array(rows, dtype=HISTORY_DTYPE)))
 
     @property
     def initial_best(self) -> float:
         """Best fitness in the first generation (the initial population)."""
-        return self.records[0].best_fitness
+        return float(self.records.columns["best_fitness"][0])
 
     @property
     def final_best(self) -> float:
         """Best fitness in the last generation."""
-        return self.records[-1].best_fitness
+        return float(self.records.columns["best_fitness"][-1])
 
     @property
     def total_elapsed_ms(self) -> float:
-        return sum(r.elapsed_ms for r in self.records)
+        return float(self.records.columns["elapsed_ms"].sum())
 
 
 def _batch_fitness(seqs: np.ndarray, instance: Instance) -> np.ndarray:
     """Fitness of each row of an id-sequence matrix."""
     above = canonical_above_counts(instance.dims, instance.n_containers)
     return instance.priority_by_id().take(seqs) @ above
+
+
+def _mean(fits: np.ndarray) -> float:
+    """Mean of finite fitness values; each is scaled by 1/N first where their sum could overflow."""
+    if fits.max() <= _FLOAT_MAX / fits.size:
+        return fits.mean()
+    return (fits / fits.size).sum()
 
 
 def _roulette(fits: np.ndarray, u: float | np.ndarray) -> np.ndarray:
@@ -264,13 +316,14 @@ def run(instance: Instance, cfg: GaConfig) -> RunStats:
 
     The initial population counts as generation 1; every further generation
     is one `evolve_step`. Results are deterministic for a fixed seed except
-    for the wall-clock `elapsed_ms` fields.
+    for the wall-clock `elapsed_ms` fields. Each generation writes one row of
+    a history array allocated once per run.
     """
     rng = np.random.default_rng(mask_seed(cfg.seed))
     # Built before the population, so the long-lived tables do not land above
     # it in the heap; built lazily, they raised peak RSS.
     canonical_plane_masks(instance.dims, instance.n_containers)
-    records = []
+    history = np.empty(cfg.generations, dtype=HISTORY_DTYPE)
     for generation in range(1, cfg.generations + 1):
         started = time.perf_counter()
         if generation == 1:
@@ -280,7 +333,7 @@ def run(instance: Instance, cfg: GaConfig) -> RunStats:
         else:
             rows, fits = _step_seqs(seqs, rows, fits, instance, cfg, rng)
         elapsed_ms = (time.perf_counter() - started) * 1e3
-        records.append(GenerationRecord(generation, float(fits.min()), float(fits.mean()), elapsed_ms))
+        history[generation - 1] = (generation, fits.min(), _mean(fits), elapsed_ms)
     best_row = int(np.argmin(fits))
     best = Arrangement.from_id_sequence(instance.dims, seqs[rows[best_row]])
-    return RunStats(tuple(records), best, float(fits[best_row]))
+    return RunStats(GenerationHistory(history), best, float(fits[best_row]))

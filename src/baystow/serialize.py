@@ -21,10 +21,10 @@ import numpy as np
 from .arrangement import Arrangement
 from .bay import BayDims, Cell, cell_coords
 from .errors import InvalidSpec, ParseError, require_int
-from .ga import GenerationRecord, RunStats
+from .ga import HISTORY_DTYPE, GenerationRecord, RunStats
 from .instances import Instance, _check_dates
 
-STATS_HEADER = ("generation", "best_fitness", "mean_fitness", "elapsed_ms")
+STATS_HEADER = HISTORY_DTYPE.names
 SWEEP_HEADER = ("swept_value", "mean_fi", "mean_ff", "mean_elapsed_ms")
 
 
@@ -66,7 +66,11 @@ def _require_int(value: Any, where: str) -> int:
 def _require_number(value: Any, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(f"{where}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        digits = len(str(abs(value)))
+        raise ParseError(f"{where}: an integer of {digits} digits is past the float range") from None
 
 
 def _parse_dims(value: Any, where: str) -> tuple[BayDims, np.ndarray]:
@@ -175,18 +179,14 @@ def _write_csv(path: str | Path, header: tuple[str, ...], rows) -> None:
 
 
 def write_stats(stats: RunStats, path: str | Path) -> None:
-    """One CSV row per generation under the fixed header."""
-    _write_csv(
-        path,
-        STATS_HEADER,
-        (
-            (r.generation, _fmt(r.best_fitness), _fmt(r.mean_fitness), _fmt(r.elapsed_ms))
-            for r in stats.records
-        ),
-    )
+    """One CSV row per generation under the fixed header, read from the history's columns."""
+    columns = stats.records.columns
+    floats = (map(_fmt, columns[name].tolist()) for name in STATS_HEADER[1:])
+    _write_csv(path, STATS_HEADER, zip(columns["generation"].tolist(), *floats))
 
 
 def read_stats(path: str | Path) -> tuple[GenerationRecord, ...]:
+    """The records in `path`, whose rows must number the generations from one."""
     path = Path(path)
     try:
         with open(path, newline="") as handle:
@@ -207,6 +207,8 @@ def read_stats(path: str | Path) -> tuple[GenerationRecord, ...]:
             )
         except ValueError as exc:
             raise ParseError(f"{path}: line {lineno}: {exc}") from exc
+        if records[-1].generation != lineno - 1:
+            raise ParseError(f"{path}: line {lineno}: expected generation {lineno - 1}, got {row[0]}")
     return tuple(records)
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -124,6 +126,26 @@ class TestCanonicalAboveCounts:
     def test_capacity_guard(self):
         with pytest.raises(ValueError, match="9 containers exceed bay capacity 8"):
             canonical_above_counts(BayDims(2, 2, 2), 9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.builds(BayDims, *(st.integers(1, 5) for _ in range(3))), st.data())
+    def test_matches_stacked_cells(self, dims, data):
+        """Entry k counts the occupied cells above scan cell k in its column."""
+        nc = data.draw(st.integers(0, dims.capacity))
+        occupied = scan_order(dims)[:nc]
+        expected = [sum((o.x, o.y) == (c.x, c.y) and o.z > c.z for o in occupied) for c in occupied]
+        assert canonical_above_counts(dims, nc).tolist() == expected
+
+    def test_memory_on_a_wide_floor(self):
+        """Eight containers on a 4,000,000-cell floor: arrays of Nc entries, none of the floor's size."""
+        tracemalloc.start()
+        try:
+            above = canonical_above_counts.__wrapped__(BayDims(2000, 2000, 1), 8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert above.tolist() == [0] * 8
+        assert peak < 1_000_000
 
 
 @st.composite

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -92,6 +93,20 @@ class TestSolve:
         a = [(r.generation, r.best_fitness, r.mean_fitness) for r in read_stats(out1 / "stats.csv")]
         b = [(r.generation, r.best_fitness, r.mean_fitness) for r in read_stats(out2 / "stats.csv")]
         assert a == b
+
+    def test_large_fitness_sum_has_finite_mean(self, tmp_path):
+        """Each fitness is finite but ten of them sum past the float range; the mean stays finite."""
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps({
+            "dims": {"n1": 1, "n2": 1, "n3": 2},
+            "containers": [{"id": 1, "delivery_date": 1.2e-308}, {"id": 2, "delivery_date": 1e300}],
+        }))
+        out = tmp_path / "out"
+        # Seed 0 puts seven of the ten initial individuals in the costly order.
+        assert main(["solve", str(path), "--pop-size", "10", "--seed", "0", "--out", str(out)]) == 0
+        records = read_stats(out / "stats.csv")
+        assert all(math.isfinite(r.mean_fitness) for r in records)
+        assert all(r.best_fitness <= r.mean_fitness for r in records)
 
     def test_missing_instance_is_parse_error(self, tmp_path):
         assert solve(tmp_path / "nope.json", tmp_path / "out") == 2
@@ -218,6 +233,10 @@ class TestValidate:
                 "dims": {"n1": 1, "n2": 1, "n3": 2},
                 "containers": [{"id": i, "delivery_date": 1e-308} for i in (1, 2)],
             }, id="instance-worst-case-fitness-overflows"),
+            pytest.param("instance", {
+                "dims": {"n1": 2, "n2": 2, "n3": 2},
+                "containers": [{"id": 1, "delivery_date": 10**400}],
+            }, id="instance-date-past-float-range"),
         ],
     )
     def test_huge_id_is_parse_error(self, tmp_path, instance_file, capsys, role, document):

@@ -489,6 +489,42 @@ class TestRun:
         with pytest.raises(InvalidArrangement):
             run(inst, cfg)
 
+    def test_records_are_the_recorded_values(self):
+        """Each record is the step's best and mean fitness, as Python scalars, by index, slice or iteration."""
+        inst = small_instance(seed=6)
+        cfg = GaConfig(pop_size=9, generations=25, seed=3)
+        stats = run(inst, cfg)
+        rng = np.random.default_rng(cfg.seed)
+        seqs = baystow.ga._init_seqs(inst, cfg, rng)
+        rows, fits = np.arange(cfg.pop_size), baystow.ga._batch_fitness(seqs, inst)
+        expected = []
+        for generation in range(1, cfg.generations + 1):
+            if generation > 1:
+                rows, fits = baystow.ga._step_seqs(seqs, rows, fits, inst, cfg, rng)
+            expected.append((generation, float(fits.min()), float(fits.mean())))
+        records = stats.records
+        assert [(r.generation, r.best_fitness, r.mean_fitness) for r in records] == expected
+        assert [records[k] for k in range(-len(records), 0)] == list(records)
+        assert list(records[1:]) == list(records)[1:]
+        assert records.columns.tolist() == [
+            (r.generation, r.best_fitness, r.mean_fitness, r.elapsed_ms) for r in records
+        ]
+        assert all(type(value) in (int, float) for value in vars(records[-1]).values())
+        assert not records.columns.flags.writeable
+
+    def test_history_memory_is_columnar(self):
+        """A 1,500-generation run keeps its history in 32 bytes per generation, not one object each."""
+        inst = small_instance()
+        run(inst, GaConfig(pop_size=4, generations=2))  # builds the instance's cached tables
+        tracemalloc.start()
+        try:
+            stats = run(inst, GaConfig(pop_size=4, generations=1500))
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(stats.records) == 1500
+        assert retained < 100_000
+
     def test_debug_mode_clean_on_real_operators(self):
         inst = small_instance(seed=9)
         cfg = GaConfig(pop_size=8, generations=20, seed=2, validate_every_individual=True)

@@ -13,6 +13,7 @@ from baystow import (
     GeneratorSpec,
     Instance,
     ParseError,
+    RunStats,
     STATS_HEADER,
     SWEEP_HEADER,
     canonical_fill,
@@ -118,6 +119,8 @@ class TestInstanceFiles:
              "containers[1]: delivery date must have a finite priority 1/date, got 1e-320"),
             ([(1, 1e-308), (2, 1e-308), (3, 1e-308)],
              "delivery dates give a worst-case fitness of inf, not finite"),
+            ([(1, 10**400)],
+             "containers[0].delivery_date: an integer of 401 digits is past the float range"),
         ],
     )
     def test_bad_id_or_date_message(self, tmp_path, containers, problem):
@@ -268,6 +271,30 @@ class TestStatsFiles:
         path = tmp_path / "stats.csv"
         write_stats(stats, path)
         assert [r.generation for r in read_stats(path)] == [1, 2, 3, 4, 5]
+
+    def test_read_back_run_stats_match_the_run(self, tmp_path, instance):
+        """`RunStats(read_stats(path), best, f)` reads what the run holds, to the file's six digits."""
+        stats = run(instance, GaConfig(pop_size=10, generations=30, seed=4))
+        path = tmp_path / "stats.csv"
+        write_stats(stats, path)
+        again = RunStats(read_stats(path), stats.best, stats.best_fitness)
+        six = lambda value: format(value, ".6g")
+        assert len(again.records) == len(stats.records)
+        for a, b in zip(again.records, stats.records):
+            assert a.generation == b.generation
+            assert [six(a.best_fitness), six(a.mean_fitness), six(a.elapsed_ms)] == [
+                six(b.best_fitness), six(b.mean_fitness), six(b.elapsed_ms)
+            ]
+        assert six(again.initial_best) == six(stats.initial_best)
+        assert six(again.final_best) == six(stats.final_best)
+        assert again.total_elapsed_ms == pytest.approx(stats.total_elapsed_ms, rel=1e-5)
+
+    @pytest.mark.parametrize("generation", ["3", "99999999999999999999"])
+    def test_generation_out_of_sequence_rejected(self, tmp_path, generation):
+        path = tmp_path / "gap.csv"
+        path.write_text(",".join(STATS_HEADER) + f"\n1,2,3,4\n{generation},2,3,4\n")
+        with pytest.raises(ParseError, match=f"line 3: expected generation 2, got {generation}$"):
+            read_stats(path)
 
     def test_wrong_header_rejected(self, tmp_path):
         path = tmp_path / "odd.csv"
