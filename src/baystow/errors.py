@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the one integer check that raises them.
+"""Exception types shared across the package, and the integer and real-number checks that raise them.
 
 Each class means one thing: `InvalidSpec`, a constructor or the CLI parser
 rejected an outside value; `ParseError`, a file could not be read;
@@ -8,6 +8,8 @@ A library caller who breaks a function's precondition gets a `ValueError`.
 """
 
 from __future__ import annotations
+
+from numbers import Real
 
 
 class BaystowError(Exception):
@@ -40,3 +42,9 @@ def require_int(name: str, value, least: int) -> None:
     """Raise InvalidSpec unless `value` is a builtin int (not a bool) and >= `least`."""
     if not isinstance(value, int) or isinstance(value, bool) or value < least:
         raise InvalidSpec(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def require_real(name: str, value) -> None:
+    """Raise InvalidSpec unless `value` is a real number (not a bool)."""
+    if not isinstance(value, Real) or isinstance(value, bool):
+        raise InvalidSpec(f"{name} must be a real number, got {value!r}")

@@ -18,6 +18,14 @@ public operators wrap that core, so a run is reproducible whether `run` drives
 it or it is stepped manually. Fitness gathers `Instance.priority_by_id()` and
 multiplies by the cached `bay` above-counts; `run` builds the plane tables
 before the population.
+
+A run's working memory is the population plus one child matrix: at pop 50 x
+Nc 8,000 it peaks at about 6.6 MiB (`tracemalloc`), 2.2 x the 3.05 MiB
+population, down from 9.7 MiB. Init keeps its swap positions in the narrowest
+unsigned dtype; fitness gathers priorities a block of rows at a time, in
+multiples of 4 rows so that each row gets the bits of one whole-matrix
+product (OpenBLAS's gemv computes rows in fours); and surviving children are
+written into their rows one at a time.
 """
 
 from __future__ import annotations
@@ -31,11 +39,12 @@ import numpy as np
 from ._rng import mask_seed, require_seed
 from .arrangement import Arrangement, _transpose_rows, shuffle_ids
 from .bay import canonical_above_counts, canonical_plane_masks, cell_coords
-from .errors import InvalidSpec, ShapeMismatch, require_int
+from .errors import InvalidSpec, ShapeMismatch, require_int, require_real
 from .evaluation import _require_valid
 from .instances import Instance
 
 _FLOAT_MAX = np.finfo(np.float64).max
+_BLOCK_BYTES = 1 << 18  # a fitness block's gathered priorities, or one group of init draws
 
 
 @dataclass(frozen=True)
@@ -58,6 +67,7 @@ class GaConfig:
             require_int("init_swaps", self.init_swaps, 0)
         for name in ("crossover_prob", "mutation_prob"):
             p = getattr(self, name)
+            require_real(name, p)
             if not 0.0 <= p <= 1.0:
                 raise InvalidSpec(f"{name} must be in [0, 1], got {p}")
 
@@ -145,9 +155,23 @@ class RunStats:
 
 
 def _batch_fitness(seqs: np.ndarray, instance: Instance) -> np.ndarray:
-    """Fitness of each row of an id-sequence matrix."""
+    """Fitness of each row of an id-sequence matrix, gathered and multiplied a block of rows at a time.
+
+    A block's gathered priorities take about `_BLOCK_BYTES`. Blocks are a
+    multiple of 4 rows because OpenBLAS's gemv computes rows in fours, so each
+    row gets the bits of one single-threaded product over the whole matrix; a
+    lone last row would go through dot instead, so it joins the block before it.
+    """
     above = canonical_above_counts(instance.dims, instance.n_containers)
-    return instance.priority_by_id().take(seqs) @ above
+    priority = instance.priority_by_id()
+    n = len(seqs)
+    block = max(4, _BLOCK_BYTES // (priority.itemsize * max(above.size, 1)) // 4 * 4)
+    fits = np.empty(n)
+    start = 0
+    for stop in [*range(block, n - 1, block), n]:
+        fits[start:stop] = priority.take(seqs[start:stop]) @ above
+        start = stop
+    return fits
 
 
 def _mean(fits: np.ndarray) -> float:
@@ -183,8 +207,16 @@ def _init_seqs(instance: Instance, cfg: GaConfig, rng: np.random.Generator) -> n
     swaps = cfg.init_swaps if cfg.init_swaps is not None else nc
     seqs = np.tile(np.arange(1, nc + 1, dtype=np.int64), (cfg.pop_size, 1))
     if swaps and nc:
-        # One draw fills the rows in order, matching per-row draws number for number.
-        seqs = _transpose_rows(seqs, rng.integers(0, nc, size=(cfg.pop_size, swaps, 2)))
+        # The int64 draws fill the rows in order, so drawing a group of rows at a
+        # time gives the numbers of one (pop_size, swaps, 2) draw; they are kept
+        # in the narrowest dtype that holds a position. A narrow `dtype=` in the
+        # draw itself would change the numbers.
+        pairs = np.empty((cfg.pop_size, swaps, 2), dtype=np.min_scalar_type(nc - 1))
+        group = max(1, _BLOCK_BYTES // (8 * pairs[0].size))
+        for start in range(0, cfg.pop_size, group):
+            rows = pairs[start : start + group]
+            rows[...] = rng.integers(0, nc, size=rows.shape)
+        seqs = _transpose_rows(seqs, pairs)
     _check(seqs, instance, cfg)
     return seqs
 
@@ -212,7 +244,9 @@ def _step_seqs(
     # a size that changes each generation fragmented the heap and raised peak RSS.
     tx, ty, tz = canonical_plane_masks(dims, nc)
     px, py, pz = planes.T
-    outside = tx[px] | ty[py] | tz[pz]
+    outside = tx[px]
+    outside |= ty[py]
+    outside |= tz[pz]
     mark = np.zeros(nc + 1, dtype=bool)
     crossing = np.flatnonzero(do_crossover)
     for p, (i, j) in zip(crossing.tolist(), parents[crossing].tolist()):
@@ -233,7 +267,9 @@ def _step_seqs(
     pool_rows = np.concatenate([rows, np.empty_like(rows)])
     born = survivors[survivors >= n]
     pool_rows[born] = rows[dropped[dropped < n]]
-    seqs[pool_rows[born]] = children[born - n]
+    # Row by row: a fancy-indexed copy of the surviving children would be a second child matrix.
+    for row, child in zip(pool_rows[born].tolist(), (born - n).tolist()):
+        seqs[row] = children[child]
     return pool_rows[survivors], pool_fits[survivors]
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from ._rng import mask_seed, require_seed
 from .bay import BayDims
-from .errors import InvalidSpec, require_int
+from .errors import InvalidSpec, require_int, require_real
 
 
 def _check_dates(dates: np.ndarray, name: Callable[[int], str]) -> None:
@@ -93,6 +93,8 @@ class GeneratorSpec:
             raise InvalidSpec(
                 f"n_containers {self.n_containers} exceeds bay capacity {self.dims.capacity}"
             )
+        require_real("date_min", self.date_min)
+        require_real("date_max", self.date_max)
         if not 0 < self.date_min <= self.date_max < math.inf:
             raise InvalidSpec(
                 f"date range must satisfy 0 < min <= max < inf, got [{self.date_min}, {self.date_max}]"

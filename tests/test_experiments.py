@@ -59,6 +59,8 @@ class TestSweepSpec:
         [
             ("generations", {"n_containers": 2.5, "dims": BayDims(2, 2, 2)}),
             ("containers", {"date_max": float("inf")}),
+            ("containers", {"date_min": True}),
+            ("containers", {"date_max": "50"}),
         ],
     )
     def test_generator_bounds_checked_at_construction(self, kind, kwargs):

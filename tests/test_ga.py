@@ -1,4 +1,5 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from baystow import (
     validate,
 )
 from baystow.arrangement import _transpose_rows
-from baystow.bay import canonical_plane_masks
+from baystow.bay import canonical_above_counts, canonical_plane_masks
 from conftest import make_instance
 
 
@@ -48,6 +49,21 @@ def small_instance(nc=8, seed=0):
     return generate_instance(GeneratorSpec(BayDims(2, 2, 2), nc, seed=seed))
 
 
+def large_instance():
+    """The `large-bay` size: 8000 containers filling a 20x20x20 bay."""
+    return generate_instance(GeneratorSpec(BayDims(20, 20, 20), 8000, seed=1))
+
+
+def traced_peak(call):
+    """Peak bytes that `tracemalloc` sees allocated while `call()` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestGaConfig:
     def test_defaults(self):
         cfg = GaConfig()
@@ -62,6 +78,10 @@ class TestGaConfig:
             {"generations": 0},
             {"crossover_prob": 1.5},
             {"mutation_prob": -0.1},
+            {"crossover_prob": True},
+            {"mutation_prob": False},
+            {"mutation_prob": "0.5"},
+            {"crossover_prob": None},
             {"init_swaps": -1},
             {"pop_size": True},
             {"pop_size": 2.5},
@@ -98,6 +118,18 @@ class TestInitPopulation:
         a = init_population(inst, cfg, np.random.default_rng(5))
         b = init_population(inst, cfg, np.random.default_rng(5))
         assert a == b
+
+    def test_init_memory_is_population_plus_narrow_draws(self):
+        """Init at pop 50 x Nc 8000 holds the population and its swap positions in 16 bits.
+
+        The positions are drawn a few rows at a time as int64 and kept as
+        uint16, a quarter of the population's bytes. One int64 draw of every
+        transposition, twice the population's bytes, breaks the bound.
+        """
+        inst, cfg = large_instance(), GaConfig(pop_size=50)
+        seqs = baystow.ga._init_seqs(inst, cfg, np.random.default_rng(0))
+        peak = traced_peak(lambda: baystow.ga._init_seqs(inst, cfg, np.random.default_rng(0)))
+        assert peak < 1.8 * seqs.nbytes
 
 
 class TestRouletteSelect:
@@ -334,25 +366,21 @@ class TestEvolveStep:
         assert all(validate(arr, inst) == [] for arr in pop)
 
     def test_step_memory_is_pool_plus_one_matrix(self):
-        """One step at pop 50 x Nc 8000 allocates the N children, one float matrix and little else.
+        """One step at pop 50 x Nc 8000 allocates the N children and little else.
 
-        The population stays in place: only the N children are gathered, and the
-        survivors are written over the dead incumbents' rows. A 2N-row pool, a
-        copy of the merged population, or a second N x Nc temporary (such as
-        `seqs - 1` in the fitness gather) breaks the bound.
+        The population stays in place: only the N children are gathered, the
+        fitness gathers its priorities a block of rows at a time, and each
+        surviving child is written over a dead incumbent's row. A 2N-row pool,
+        a copy of the merged population or of the surviving children, or a
+        whole N x Nc priority matrix breaks the bound.
         """
-        inst = generate_instance(GeneratorSpec(BayDims(20, 20, 20), 8000, seed=1))
-        cfg = GaConfig(pop_size=50)
+        inst, cfg = large_instance(), GaConfig(pop_size=50)
         seqs = baystow.ga._init_seqs(inst, cfg, np.random.default_rng(0))
         fits = baystow.ga._batch_fitness(seqs, inst)
         rows = np.arange(cfg.pop_size)
-        tracemalloc.start()
-        try:
-            baystow.ga._step_seqs(seqs, rows, fits, inst, cfg, np.random.default_rng(1))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 2.5 * seqs.nbytes
+        rng = np.random.default_rng(1)
+        peak = traced_peak(lambda: baystow.ga._step_seqs(seqs, rows, fits, inst, cfg, rng))
+        assert peak < 1.35 * seqs.nbytes
 
 
 def reference_step(seqs, fits, instance, cfg, rng):
@@ -424,6 +452,28 @@ def test_step_matches_reference_step(case):
         np.testing.assert_array_equal(seqs[rows], ref_seqs)
         np.testing.assert_array_equal(fits, ref_fits)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@st.composite
+def fitness_blocks(draw):
+    """Random bay with 0-200 containers, 1-70 rows of ids, and a block budget of 1-12 rows."""
+    dims = BayDims(*(draw(st.integers(1, 6)) for _ in range(3)))
+    nc = draw(st.integers(0, min(dims.capacity, 200)))
+    dates = draw(st.lists(st.floats(1.0, 100.0), min_size=nc, max_size=nc))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    seqs = rng.permuted(np.tile(np.arange(1, nc + 1), (draw(st.integers(1, 70)), 1)), axis=1)
+    return Instance(dims, np.array(dates)), seqs, draw(st.integers(1, 12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(fitness_blocks())
+def test_blocked_fitness_equals_one_product(case):
+    """Fitness in blocks of rows has the bits of one gather and product over the whole matrix."""
+    inst, seqs, budget_rows = case
+    nc = inst.n_containers
+    whole = inst.priority_by_id().take(seqs) @ canonical_above_counts(inst.dims, nc)
+    with mock.patch.object(baystow.ga, "_BLOCK_BYTES", budget_rows * 8 * max(nc, 1)):
+        assert np.array_equal(baystow.ga._batch_fitness(seqs, inst), whole)
 
 
 class TestRun:
@@ -511,6 +561,13 @@ class TestRun:
         ]
         assert all(type(value) in (int, float) for value in vars(records[-1]).values())
         assert not records.columns.flags.writeable
+
+    def test_run_memory_is_population_plus_one_child_matrix(self):
+        """A run at pop 50 x Nc 8000 peaks at its population, one child matrix and small blocks."""
+        inst = large_instance()
+        run(inst, GaConfig(pop_size=4, generations=2))  # builds the instance's cached tables
+        peak = traced_peak(lambda: run(inst, GaConfig(pop_size=50, generations=3, seed=7)))
+        assert peak < 2.3 * 50 * inst.n_containers * np.dtype(np.int64).itemsize
 
     def test_history_memory_is_columnar(self):
         """A 1,500-generation run keeps its history in 32 bytes per generation, not one object each."""

@@ -153,6 +153,10 @@ class TestGenerator:
             {"seed": True},
             {"n_containers": 2.5},
             {"n_containers": True},
+            {"date_min": True},
+            {"date_max": True},
+            {"date_min": "5"},
+            {"date_max": None},
         ],
     )
     def test_invalid_spec(self, kwargs):
