@@ -11,10 +11,10 @@ from baystow import (
     GeneratorSpec,
     above_count,
     canonical_fill,
+    cell_coords,
     fitness,
     generate_instance,
     rehandles,
-    scan_coords,
     shuffle_ids,
     validate,
 )
@@ -25,7 +25,7 @@ print(f"bay {dims}: floor capacity {dims.floor_capacity}, total capacity {dims.c
 
 # Cells are visited tier by tier, then across, then into the depth.
 print("\nscan order (x, y, z):")
-for i, (x, y, z) in enumerate(zip(*scan_coords(dims))):
+for i, (x, y, z) in enumerate(zip(*cell_coords(dims, np.arange(dims.capacity)))):
     print(f"  slot {i:2d} -> ({x}, {y}, {z})")
 
 # An instance adds containers with delivery dates in [1, 100);

@@ -17,7 +17,7 @@ from .arrangement import (
     shuffle_ids,
     validate,
 )
-from .bay import BayDims, Cell, canonical_above_counts, scan_coords
+from .bay import BayDims, Cell, canonical_above_counts, cell_coords
 from .errors import (
     BaystowError,
     InvalidArrangement,
@@ -99,6 +99,7 @@ __all__ = [
     "above_count",
     "canonical_above_counts",
     "canonical_fill",
+    "cell_coords",
     "crossover",
     "cube_dims",
     "evolve_step",
@@ -115,7 +116,6 @@ __all__ = [
     "roulette_select",
     "run",
     "run_sweep",
-    "scan_coords",
     "shuffle_ids",
     "sweep_instance",
     "validate",

@@ -45,11 +45,6 @@ class Arrangement:
     def n_containers(self) -> int:
         return int(np.count_nonzero(self.grid))
 
-    def occupant(self, cell: Cell) -> int | None:
-        """Container id at `cell`, or None if the cell is empty."""
-        value = int(self.grid[cell])
-        return value if value != EMPTY else None
-
     def scan_vector(self) -> np.ndarray:
         """Grid values in scan order; length equals the bay capacity."""
         return self.grid.transpose(2, 0, 1).ravel()

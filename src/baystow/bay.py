@@ -10,7 +10,6 @@ floor counts non-increasing with height).
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -18,6 +17,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidSpec, require_int
+
+# The most cells a bay may have, on any host: an `Arrangement`'s dense int64 grid
+# stays within 128 MiB, and the largest bay any test or workload uses has 4M cells.
+_MAX_CELLS = 1 << 24
 
 
 class Cell(NamedTuple):
@@ -39,13 +42,8 @@ class BayDims:
     def __post_init__(self) -> None:
         for name in ("n1", "n2", "n3"):
             require_int(name, getattr(self, name), 1)
-        # Arrays over the cells are indexed by numpy's intp, whose largest value is
-        # sys.maxsize, so a larger bay has no array form.
-        if self.capacity > sys.maxsize:
-            raise InvalidSpec(
-                f"cannot hold a {self} bay: its {self.capacity} cells exceed the index limit "
-                f"{sys.maxsize}"
-            )
+        if self.capacity > _MAX_CELLS:
+            raise InvalidSpec(f"cannot hold a {self} bay: its {self.capacity} cells exceed {_MAX_CELLS}")
 
     @property
     def floor_capacity(self) -> int:
@@ -69,15 +67,6 @@ def cell_coords(dims: BayDims, positions: np.ndarray) -> tuple[np.ndarray, np.nd
     z, rest = np.divmod(positions, dims.floor_capacity)
     x, y = np.divmod(rest, dims.n2)
     return x, y, z
-
-
-@lru_cache(maxsize=None)
-def scan_coords(dims: BayDims) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Coordinate vectors (x, y, z) of every cell, indexed by scan position."""
-    coords = cell_coords(dims, np.arange(dims.capacity))
-    for axis in coords:
-        axis.setflags(write=False)
-    return coords
 
 
 @lru_cache(maxsize=None)
@@ -105,8 +94,8 @@ def canonical_plane_masks(dims: BayDims, count: int) -> tuple[np.ndarray, np.nda
     Row p of the x table marks the cells whose x >= p, for p in 0..n1; the
     y and z tables do the same along their axes. So the cells outside the
     box {x < px, y < py, z < pz} are ``x[px] | y[py] | z[pz]``. The tables
-    hold ``count * (n1 + n2 + n3 + 3)`` bools, built from the coordinates of
-    those cells alone rather than from `scan_coords` over the whole bay.
+    hold ``count * (n1 + n2 + n3 + 3)`` bools, built from the `cell_coords` of
+    those cells alone, never from coordinates over the whole bay.
     """
     if count > dims.capacity:
         raise ValueError(f"{count} containers exceed bay capacity {dims.capacity}")

@@ -1,13 +1,13 @@
 """Command-line front end: generate instances, solve, validate, run sweeps.
 
-Exit statuses: 0 success; 1 usage error (a bad flag, or a value rejected
-with InvalidSpec); 2 file error (ParseError or OSError: an unreadable,
-undecodable, malformed or unallocatable file); 3 constraint violation (an
-arrangement that breaks the stacking rules); 4 internal error (any other
-exception, a package error from an engine bug included, on one line with its
-type). The parser raises InvalidSpec instead of exiting, so usage problems
-report 1, not argparse's 2. Flag defaults are read from the dataclasses
-that own them.
+Exit statuses: 0 success; 1 usage error (a bad flag, a bay past `BayDims`'s
+cell limit included, or a value rejected with InvalidSpec); 2 file error
+(ParseError or OSError: an unreadable, undecodable or malformed file, or one
+past the cell limit); 3 constraint violation (an arrangement that breaks the
+stacking rules); 4 internal error (any other exception, a package error from
+an engine bug included, on one line with its type). The parser raises
+InvalidSpec instead of exiting, so usage problems report 1, not argparse's 2.
+Flag defaults are read from the dataclasses that own them.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from ._rng import derive_seed, require_seed
-from .bay import BayDims
+from .bay import _MAX_CELLS, BayDims
 from .errors import InvalidSpec, require_int
 from .ga import GaConfig, RunStats, run
 from .instances import GeneratorSpec, Instance, generate_instance
@@ -92,6 +92,8 @@ class SweepResult:
 def cube_dims(n_containers: int) -> BayDims:
     """Smallest cubic bay that holds the given number of containers."""
     require_int("n_containers", n_containers, 1)
+    if n_containers > _MAX_CELLS:
+        raise InvalidSpec(f"{n_containers} containers exceed the {_MAX_CELLS} cells a bay may have")
     side = 1
     while side**3 < n_containers:
         side += 1

@@ -18,14 +18,6 @@ public operators wrap that core, so a run is reproducible whether `run` drives
 it or it is stepped manually. Fitness gathers `Instance.priority_by_id()` and
 multiplies by the cached `bay` above-counts; `run` builds the plane tables
 before the population.
-
-A run's working memory is the population plus one child matrix: at pop 50 x
-Nc 8,000 it peaks at about 6.6 MiB (`tracemalloc`), 2.2 x the 3.05 MiB
-population, down from 9.7 MiB. Init keeps its swap positions in the narrowest
-unsigned dtype; fitness gathers priorities a block of rows at a time, in
-multiples of 4 rows so that each row gets the bits of one whole-matrix
-product (OpenBLAS's gemv computes rows in fours); and surviving children are
-written into their rows one at a time.
 """
 
 from __future__ import annotations
@@ -38,7 +30,7 @@ import numpy as np
 
 from ._rng import mask_seed, require_seed
 from .arrangement import Arrangement, _transpose_rows, shuffle_ids
-from .bay import canonical_above_counts, canonical_plane_masks, cell_coords
+from .bay import canonical_above_counts, canonical_plane_masks
 from .errors import InvalidSpec, ShapeMismatch, require_int, require_real
 from .evaluation import _require_valid
 from .instances import Instance
@@ -293,35 +285,30 @@ def crossover(
 ) -> tuple[Arrangement, Arrangement]:
     """Exchange the box {x < px, y < py, z < pz} between two parents.
 
-    Each child keeps one parent's ids at the occupied cells inside the box;
-    the occupied cells outside are refilled, in scan order, with the ids
-    missing from the box, taken in the order they appear in the other
-    parent's scan traversal. Children occupy exactly the parents' cells.
+    Both parents must hold the canonical occupancy, the first Nc cells of scan
+    order, as every individual of the engine does; otherwise, or if their dims
+    differ, this raises ShapeMismatch. Each child keeps one parent's ids at the
+    occupied cells inside the box; the occupied cells outside are refilled, in
+    scan order, with the ids missing from the box, taken in the order they
+    appear in the other parent's scan traversal. The out-of-box mask comes from
+    the engine's plane tables, so a crossing pair of `run` gets these children.
     """
     if p1.dims != p2.dims:
         raise ShapeMismatch(f"parents differ in dims: {p1.dims} vs {p2.dims}")
     dims = p1.dims
     if not (0 <= planes.px <= dims.n1 and 0 <= planes.py <= dims.n2 and 0 <= planes.pz <= dims.n3):
         raise ValueError(f"planes {planes} outside axis bounds of {dims}")
-    v1 = p1.scan_vector()
-    v2 = p2.scan_vector()
-    occupied = np.flatnonzero(v1)
-    if not np.array_equal(occupied, np.flatnonzero(v2)):
-        raise ShapeMismatch("parents do not share an occupancy pattern")
-    xs, ys, zs = cell_coords(dims, occupied)
-    outside = (xs >= planes.px) | (ys >= planes.py) | (zs >= planes.pz)
-    s1, s2 = v1[occupied], v2[occupied]
+    s1, s2 = p1.id_sequence(), p2.id_sequence()
+    nc = s1.size
+    if s2.size != nc or not (p1.scan_vector()[:nc].all() and p2.scan_vector()[:nc].all()):
+        raise ShapeMismatch("parents do not both hold the canonical occupancy")
+    tx, ty, tz = canonical_plane_masks(dims, nc)
+    outside = tx[planes.px] | ty[planes.py] | tz[planes.pz]
     c1, c2 = s1.copy(), s2.copy()
     mark = np.zeros(int(max(s1.max(initial=0), s2.max(initial=0))) + 1, dtype=bool)
     _order_fill(c1, s2, outside, mark)
     _order_fill(c2, s1, outside, mark)
-    out1, out2 = v1.copy(), v2.copy()
-    out1[occupied] = c1
-    out2[occupied] = c2
-    return (
-        Arrangement.from_scan_vector(dims, out1),
-        Arrangement.from_scan_vector(dims, out2),
-    )
+    return Arrangement.from_id_sequence(dims, c1), Arrangement.from_id_sequence(dims, c2)
 
 
 def mutate(arr: Arrangement, rng: np.random.Generator) -> Arrangement:

@@ -5,7 +5,7 @@ typo in a hand-edited file surfaces as a ParseError naming the field instead
 of silently producing a different experiment. Structural problems in a file
 (undecodable bytes, bad JSON, wrong types, out-of-range values, duplicate
 ids, coordinates outside the bay, more containers than the bay holds, a bay
-too large to allocate) raise ParseError; whether an arrangement satisfies the
+past the cell limit) raise ParseError; whether an arrangement satisfies the
 stacking rules is not a file concern and stays with `arrangement.validate`.
 """
 
@@ -73,17 +73,12 @@ def _require_number(value: Any, where: str) -> float:
         raise ParseError(f"{where}: an integer of {digits} digits is past the float range") from None
 
 
-def _parse_dims(value: Any, where: str) -> tuple[BayDims, np.ndarray]:
-    """The bay and an empty grid for it; a bay too large to allocate is a ParseError."""
+def _parse_dims(value: Any, where: str) -> BayDims:
     obj = _require_object(value, where, ("n1", "n2", "n3"))
     try:
-        dims = BayDims(**obj)
+        return BayDims(**obj)
     except InvalidSpec as exc:
         raise ParseError(f"{where}: {exc}") from exc
-    try:
-        return dims, np.zeros((dims.n1, dims.n2, dims.n3), dtype=np.int64)
-    except (ValueError, MemoryError) as exc:
-        raise ParseError(f"{where}: cannot hold a {dims} bay: {exc}") from exc
 
 
 def write_instance(instance: Instance, path: str | Path) -> None:
@@ -100,7 +95,7 @@ def read_instance(path: str | Path) -> Instance:
     """The instance in `path`; its containers may come in any id order."""
     path = Path(path)
     root = _require_object(_load_json(path), f"{path}", ("dims", "containers"))
-    dims, _ = _parse_dims(root["dims"], f"{path}: dims")
+    dims = _parse_dims(root["dims"], f"{path}: dims")
     raw = root["containers"]
     if not isinstance(raw, list):
         raise ParseError(f"{path}: containers: expected a list, got {type(raw).__name__}")
@@ -146,12 +141,13 @@ def write_arrangement(arr: Arrangement, path: str | Path) -> None:
 def read_arrangement(path: str | Path) -> Arrangement:
     path = Path(path)
     root = _require_object(_load_json(path), f"{path}", ("dims", "cells"))
-    dims, grid = _parse_dims(root["dims"], f"{path}: dims")
+    dims = _parse_dims(root["dims"], f"{path}: dims")
     raw = root["cells"]
     if not isinstance(raw, list):
         raise ParseError(f"{path}: cells: expected a list, got {type(raw).__name__}")
     if len(raw) > dims.capacity:
         raise ParseError(f"{path}: {len(raw)} cells exceed bay capacity {dims.capacity}")
+    grid = np.zeros((dims.n1, dims.n2, dims.n3), dtype=np.int64)
     seen_ids: set[int] = set()
     for index, item in enumerate(raw):
         where = f"{path}: cells[{index}]"

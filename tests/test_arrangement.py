@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from baystow import (
+    EMPTY,
     Arrangement,
     BayDims,
     Cell,
@@ -14,7 +15,7 @@ from baystow import (
     Violation,
     above_count,
     canonical_fill,
-    scan_coords,
+    cell_coords,
     shuffle_ids,
     validate,
 )
@@ -49,19 +50,19 @@ class TestCanonicalFill:
     def test_single_container(self):
         inst = make_instance((2, 2, 2), [1.0])
         arr = canonical_fill(inst)
-        assert arr.occupant(Cell(0, 0, 0)) == 1
+        assert int(arr.grid[Cell(0, 0, 0)]) == 1
         assert arr.n_containers == 1
 
     def test_five_of_eight(self):
         # ids 1..4 cover floor 0 in scan order, id 5 starts floor 1
         inst = make_instance((2, 2, 2), [1.0] * 5)
         arr = canonical_fill(inst)
-        assert arr.occupant(Cell(0, 0, 0)) == 1
-        assert arr.occupant(Cell(0, 1, 0)) == 2
-        assert arr.occupant(Cell(1, 0, 0)) == 3
-        assert arr.occupant(Cell(1, 1, 0)) == 4
-        assert arr.occupant(Cell(0, 0, 1)) == 5
-        assert arr.occupant(Cell(0, 1, 1)) is None
+        assert int(arr.grid[Cell(0, 0, 0)]) == 1
+        assert int(arr.grid[Cell(0, 1, 0)]) == 2
+        assert int(arr.grid[Cell(1, 0, 0)]) == 3
+        assert int(arr.grid[Cell(1, 1, 0)]) == 4
+        assert int(arr.grid[Cell(0, 0, 1)]) == 5
+        assert arr.grid[Cell(0, 1, 1)] == EMPTY
 
     @pytest.mark.parametrize("dims,nc", [((1, 1, 1), 1), ((3, 2, 4), 17), ((2, 2, 2), 8)])
     def test_always_valid(self, dims, nc):
@@ -88,8 +89,8 @@ class TestShuffleIds:
         inst = make_instance((1, 1, 2), [1.0, 2.0])
         arr = canonical_fill(inst)
         swapped = shuffle_ids(arr, FixedPairs([[0, 1]]), 1)
-        assert swapped.occupant(Cell(0, 0, 0)) == 2
-        assert swapped.occupant(Cell(0, 0, 1)) == 1
+        assert int(swapped.grid[Cell(0, 0, 0)]) == 2
+        assert int(swapped.grid[Cell(0, 0, 1)]) == 1
 
     def test_preserves_ids_and_occupancy(self, rng):
         inst = make_instance((3, 2, 3), [1.0] * 13)
@@ -206,7 +207,7 @@ def reference_validate(arr, instance):
             )
     occupied_scan = arr.scan_vector() != 0
     canonical = np.arange(dims.capacity) < nc
-    xs, ys, zs = scan_coords(dims)
+    xs, ys, zs = cell_coords(dims, np.arange(dims.capacity))
     for k in np.flatnonzero(occupied_scan & ~canonical):
         violations.append(
             Violation("occupancy", f"cell ({xs[k]}, {ys[k]}, {zs[k]})", "occupied outside the canonical fill pattern")
@@ -236,7 +237,7 @@ def defective_arrangements(draw):
     inst = make_instance((dims.n1, dims.n2, dims.n3), [1.0] * nc)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     vector = shuffle_ids(canonical_fill(inst), rng, nc).scan_vector().copy()
-    xs, ys, zs = scan_coords(dims)
+    xs, ys, zs = cell_coords(dims, np.arange(dims.capacity))
 
     def where(position):
         return f"cell ({xs[position]}, {ys[position]}, {zs[position]})"

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from baystow import BayDims, Cell, InvalidSpec, canonical_above_counts, scan_coords
-from baystow.bay import canonical_plane_masks
+from baystow import BayDims, Cell, InvalidSpec, canonical_above_counts, cell_coords
+from baystow.bay import _MAX_CELLS, canonical_plane_masks
 
 
 def cells(pairs):
@@ -24,8 +24,9 @@ def scan_order(dims):
 
 
 def scan_cells(dims):
-    """The scan order as `scan_coords` gives it, one cell per scan position."""
-    return [Cell(*xyz) for xyz in zip(*(axis.tolist() for axis in scan_coords(dims)))]
+    """The scan order as `cell_coords` gives it, one cell per scan position."""
+    coords = cell_coords(dims, np.arange(dims.capacity))
+    return [Cell(*xyz) for xyz in zip(*(axis.tolist() for axis in coords))]
 
 
 class TestBayDims:
@@ -43,11 +44,13 @@ class TestBayDims:
         with pytest.raises(ValueError):
             BayDims(2.0, 2, 2)
 
-    def test_capacity_bounded_by_index_limit(self):
-        limit = np.iinfo(np.intp).max
-        assert BayDims(limit, 1, 1).capacity == limit
-        with pytest.raises(InvalidSpec, match="exceed the index limit"):
-            BayDims(limit, 2, 1)
+    def test_capacity_bounded_by_cell_limit(self):
+        assert _MAX_CELLS == 2**24
+        assert BayDims(1 << 12, 1 << 8, 1 << 4).capacity == _MAX_CELLS
+        with pytest.raises(InvalidSpec, match=f"its {_MAX_CELLS + 1} cells exceed {_MAX_CELLS}"):
+            BayDims(_MAX_CELLS + 1, 1, 1)
+        with pytest.raises(InvalidSpec, match="cannot hold a 100000x100000x100000 bay"):
+            BayDims(100_000, 100_000, 100_000)
 
     def test_contains(self):
         dims = BayDims(2, 3, 4)
@@ -93,11 +96,6 @@ class TestScanOrder:
     def test_scan_coords_match_scan_order(self):
         for d in (BayDims(3, 4, 2), BayDims(1, 5, 3), BayDims(4, 1, 1)):
             assert scan_cells(d) == scan_order(d)
-
-    def test_scan_coords_read_only(self):
-        xs, _, _ = scan_coords(BayDims(2, 2, 2))
-        with pytest.raises(ValueError):
-            xs[0] = 9
 
 
 class TestCanonicalAboveCounts:
@@ -162,7 +160,7 @@ class TestCanonicalPlaneMasks:
         dims, nc = case
         tx, ty, tz = canonical_plane_masks(dims, nc)
         assert (tx.shape, ty.shape, tz.shape) == ((dims.n1 + 1, nc), (dims.n2 + 1, nc), (dims.n3 + 1, nc))
-        xs, ys, zs = (axis[:nc] for axis in scan_coords(dims))
+        xs, ys, zs = np.array(scan_order(dims)[:nc], dtype=int).reshape(nc, 3).T
         for px in range(1, dims.n1 + 1):
             for py in range(1, dims.n2 + 1):
                 for pz in range(1, dims.n3 + 1):

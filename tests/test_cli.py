@@ -23,7 +23,7 @@ def instance_file(tmp_path):
     return path
 
 
-# One-container instances whose bays are too large to allocate.
+# One-container instances whose bays are past the cell limit.
 HUGE_BAY_INSTANCES = [
     b'{"dims": {"n1": 99999999999999999999, "n2": 2, "n3": 2},'
     b' "containers": [{"id": 1, "delivery_date": 1.0}]}',
@@ -339,10 +339,15 @@ class TestUsage:
             ["sweep", "population", "--values", "4", "--dims", "99999999999999999999x2x2",
              "--nc", "1"],
             ["generate", "--dims", "2x2x2", "--nc", "3", "--date-range", "1e-320:1e-319"],
+            # Bays past the cell limit, rejected before anything is allocated.
+            ["generate", "--dims", "100000x100000x100000", "--nc", "8"],
+            ["sweep", "generations", "--values", "2", "--dims", "2000x2000x1000", "--nc", "8"],
+            ["sweep", "containers", "--values", "1000000000000"],
         ],
         ids=["dims", "values", "date-range-no-colon", "date-range-not-numbers",
              "generate-dims-past-index-limit", "sweep-dims-past-index-limit",
-             "date-range-priority-overflows"],
+             "date-range-priority-overflows", "generate-dims-past-cell-limit",
+             "sweep-dims-past-cell-limit", "sweep-containers-past-cell-limit"],
     )
     def test_bad_flag_value_is_usage_error(self, tmp_path, capsys, argv):
         assert main([*argv, "--out", str(tmp_path / "x")]) == 1

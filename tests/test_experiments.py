@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from baystow import (
     run_sweep,
     sweep_instance,
 )
+from baystow.bay import _MAX_CELLS
 
 
 def tiny_config(**kwargs):
@@ -26,6 +29,18 @@ class TestCubeDims:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             cube_dims(0)
+
+    def test_cell_limit(self):
+        """256**3 is the cell limit itself; one container more has no cubic bay."""
+        assert cube_dims(_MAX_CELLS) == BayDims(256, 256, 256)
+        with pytest.raises(InvalidSpec, match=f"{_MAX_CELLS + 1} containers exceed"):
+            cube_dims(_MAX_CELLS + 1)
+
+    def test_cell_limit_checked_before_the_search(self):
+        started = time.perf_counter()
+        with pytest.raises(InvalidSpec):
+            cube_dims(10**30)
+        assert time.perf_counter() - started < 1.0
 
 
 class TestSweepSpec:

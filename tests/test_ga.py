@@ -18,6 +18,7 @@ from baystow import (
     InvalidArrangement,
     ShapeMismatch,
     canonical_fill,
+    cell_coords,
     crossover,
     evolve_step,
     fitness,
@@ -26,7 +27,6 @@ from baystow import (
     mutate,
     roulette_select,
     run,
-    scan_coords,
     shuffle_ids,
     validate,
 )
@@ -221,8 +221,16 @@ class TestCrossover:
         with pytest.raises(ShapeMismatch):
             crossover(a, b, CrossoverPlanes(1, 1, 1))
 
+    def test_shared_non_canonical_occupancy_rejected(self):
+        """Both parents fill scan cells 0, 1, 2 and 4, not the canonical 0-3: outside the engine's space."""
+        dims = BayDims(2, 2, 2)
+        a = Arrangement.from_scan_vector(dims, [1, 2, 3, 0, 4, 0, 0, 0])
+        b = Arrangement.from_scan_vector(dims, [4, 3, 2, 0, 1, 0, 0, 0])
+        with pytest.raises(ShapeMismatch, match="canonical occupancy"):
+            crossover(a, b, CrossoverPlanes(1, 1, 1))
+
     def test_memory_on_a_sparse_bay(self, rng):
-        """Eight containers in a 200,000-cell bay: a few grids, and no whole-bay coordinates."""
+        """Eight containers in a 200,000-cell bay: the two children's grids and one being built."""
         inst = make_instance((100, 100, 20), [1.0] * 8)
         base = canonical_fill(inst)
         p1, p2 = shuffle_ids(base, rng, 8), shuffle_ids(base, rng, 8)
@@ -233,7 +241,7 @@ class TestCrossover:
         finally:
             tracemalloc.stop()
         assert all(validate(child, inst) == [] for child in children)
-        assert peak < 7 * base.grid.nbytes
+        assert peak < 4 * base.grid.nbytes
 
     def test_plane_out_of_bounds_rejected(self):
         arr = canonical_fill(make_instance((2, 2, 2), [1.0] * 4))
@@ -258,7 +266,7 @@ def crossover_cases(draw):
 def test_crossover_keeps_box_and_fills_in_donor_order(case):
     """Davis-style order crossover: the box comes from the keeper, the rest in donor order."""
     inst, p1, p2, planes = case
-    xs, ys, zs = scan_coords(inst.dims)
+    xs, ys, zs = cell_coords(inst.dims, np.arange(inst.dims.capacity))
     box = (xs < planes.px) & (ys < planes.py) & (zs < planes.pz)
     c1, c2 = crossover(p1, p2, planes)
     for keeper, donor, child in ((p1, p2, c1), (p2, p1, c2)):
