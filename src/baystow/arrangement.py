@@ -10,7 +10,7 @@ them independently anyway and reports violations as data.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -53,13 +53,6 @@ class Arrangement:
         """Ids of the occupied cells in scan order."""
         vector = self.scan_vector()
         return vector[vector != EMPTY]
-
-    def occupied_cells(self) -> Iterator[tuple[Cell, int]]:
-        """(cell, id) pairs for occupied cells, in scan order."""
-        vector = self.scan_vector()
-        occupied = np.flatnonzero(vector)
-        cells = map(Cell._make, zip(*(c.tolist() for c in cell_coords(self.dims, occupied))))
-        return zip(cells, vector[occupied].tolist())
 
     @classmethod
     def from_scan_vector(cls, dims: BayDims, vector: Sequence[int] | np.ndarray) -> Arrangement:

@@ -8,7 +8,6 @@ objective. Lower is better; a fully ground-level arrangement scores zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -19,10 +18,9 @@ from .instances import Instance
 
 @dataclass(frozen=True)
 class EvalResult:
-    """Objective value together with the per-container rehandle counts."""
+    """Objective value of an arrangement; `rehandles` gives the per-container counts."""
 
     fitness: float
-    rehandles: Mapping[int, int]
 
 
 def _require_valid(arr: Arrangement, instance: Instance) -> None:
@@ -52,6 +50,4 @@ def rehandles(arr: Arrangement, instance: Instance) -> dict[int, int]:
 def fitness(arr: Arrangement, instance: Instance) -> EvalResult:
     """Sum of priority * rehandles over all containers, accumulated in id order."""
     _require_valid(arr, instance)
-    vector = _rehandle_vector(arr)
-    value = float(np.dot(instance.priority_vector(), vector))
-    return EvalResult(value, {i + 1: int(m) for i, m in enumerate(vector)})
+    return EvalResult(float(np.dot(instance.priority_vector(), _rehandle_vector(arr))))

@@ -58,8 +58,10 @@ class SweepSpec:
                 raise InvalidSpec("a containers sweep derives n_containers and dims from each value")
         elif self.n_containers is None or self.dims is None:
             raise InvalidSpec(f"a {self.kind} sweep needs fixed n_containers and dims")
-        # The generator owns the container-count and date-range bounds.
-        _generator_spec(self, self.values[0], 0)
+        # The generator owns the container-count and date-range bounds, `GaConfig` a run's.
+        for value in self.values:
+            _generator_spec(self, value, 0)
+            _point_config(self, value, 0)
 
 
 @dataclass(frozen=True)
@@ -74,17 +76,15 @@ class SweepPoint:
 
 @dataclass(frozen=True)
 class SweepRun:
-    """One underlying engine run, kept so summaries can be re-derived."""
+    """One engine run, kept so summaries can be re-derived; `sweep_instance` rebuilds its instance."""
 
     swept_value: int
     rep: int
-    instance: Instance
     stats: RunStats
 
 
 @dataclass(frozen=True)
 class SweepResult:
-    spec: SweepSpec
     points: tuple[SweepPoint, ...]
     runs: tuple[SweepRun, ...]
 
@@ -135,13 +135,12 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     for value in spec.values:
         initial, final, elapsed = 0.0, 0.0, 0.0
         for rep in range(spec.reps):
-            instance = sweep_instance(spec, value, rep)
-            stats = run(instance, _point_config(spec, value, rep))
-            runs.append(SweepRun(value, rep, instance, stats))
+            stats = run(sweep_instance(spec, value, rep), _point_config(spec, value, rep))
+            runs.append(SweepRun(value, rep, stats))
             initial += stats.initial_best
             final += stats.final_best
             elapsed += stats.total_elapsed_ms
         points.append(
             SweepPoint(value, initial / spec.reps, final / spec.reps, elapsed / spec.reps)
         )
-    return SweepResult(spec, tuple(points), tuple(runs))
+    return SweepResult(tuple(points), tuple(runs))

@@ -25,6 +25,7 @@ from __future__ import annotations
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import get_type_hints
 
 import numpy as np
 
@@ -55,6 +56,8 @@ class GaConfig:
         require_seed("seed", self.seed)
         require_int("pop_size", self.pop_size, 1)
         require_int("generations", self.generations, 1)
+        if self.generations > _MAX_GENERATIONS:
+            raise InvalidSpec(f"generations must be at most {_MAX_GENERATIONS}, got {self.generations}")
         if self.init_swaps is not None:
             require_int("init_swaps", self.init_swaps, 0)
         for name in ("crossover_prob", "mutation_prob"):
@@ -81,19 +84,18 @@ class GenerationRecord:
     elapsed_ms: float
 
 
-# One row per generation, one field per `GenerationRecord` field, in its order.
-HISTORY_DTYPE = np.dtype(
-    [("generation", np.int64), ("best_fitness", np.float64), ("mean_fitness", np.float64),
-     ("elapsed_ms", np.float64)]
-)
+# A run's history has one column per `GenerationRecord` field, of its type: 32 bytes a generation.
+HISTORY_FIELDS = get_type_hints(GenerationRecord)
+HISTORY_DTYPE = np.dtype(list(HISTORY_FIELDS.items()))
+# The most generations a run may have: its history, allocated up front, stays within 512 MiB,
+# and 2^24 generations take half an hour even on a one-cell bay at pop 1 (2-vCPU x86 host).
+_MAX_GENERATIONS = 1 << 24
 
 
 class GenerationHistory(Sequence):
-    """A run's per-generation history as read-only numpy columns.
+    """A run's per-generation history as read-only `HISTORY_DTYPE` columns, from `run` or `read_stats`.
 
-    `columns` is a structured array with one field per `GenerationRecord`
-    field. Indexing builds a `GenerationRecord` on access; a slice is a
-    history over a view of the same rows.
+    Indexing builds a `GenerationRecord` on access; a slice is a history over a view of the same rows.
     """
 
     __slots__ = ("columns",)
@@ -116,20 +118,11 @@ class GenerationHistory(Sequence):
 
 @dataclass(frozen=True)
 class RunStats:
-    """Per-generation history of a run plus the best arrangement found.
-
-    `records` may be given as any sequence of `GenerationRecord`; it is kept
-    as a `GenerationHistory`.
-    """
+    """Per-generation history of a run plus the best arrangement found."""
 
     records: GenerationHistory
     best: Arrangement
     best_fitness: float
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.records, GenerationHistory):
-            rows = [(r.generation, r.best_fitness, r.mean_fitness, r.elapsed_ms) for r in self.records]
-            object.__setattr__(self, "records", GenerationHistory(np.array(rows, dtype=HISTORY_DTYPE)))
 
     @property
     def initial_best(self) -> float:

@@ -21,10 +21,10 @@ import numpy as np
 from .arrangement import Arrangement
 from .bay import BayDims, Cell, cell_coords
 from .errors import InvalidSpec, ParseError, require_int
-from .ga import HISTORY_DTYPE, GenerationRecord, RunStats
+from .ga import HISTORY_DTYPE, HISTORY_FIELDS, GenerationHistory, RunStats
 from .instances import Instance, _check_dates
 
-STATS_HEADER = HISTORY_DTYPE.names
+STATS_HEADER = tuple(HISTORY_FIELDS)
 SWEEP_HEADER = ("swept_value", "mean_fi", "mean_ff", "mean_elapsed_ms")
 
 
@@ -54,12 +54,6 @@ def _require_object(value: Any, where: str, allowed: tuple[str, ...]) -> dict:
     missing = [key for key in allowed if key not in value]
     if missing:
         raise ParseError(f"{where}: missing field '{missing[0]}'")
-    return value
-
-
-def _require_int(value: Any, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ParseError(f"{where}: expected an integer, got {value!r}")
     return value
 
 
@@ -152,13 +146,17 @@ def read_arrangement(path: str | Path) -> Arrangement:
     for index, item in enumerate(raw):
         where = f"{path}: cells[{index}]"
         obj = _require_object(item, where, ("x", "y", "z", "id"))
-        cell = Cell(*(_require_int(obj[axis], f"{where}.{axis}") for axis in ("x", "y", "z")))
+        try:
+            for field, least in (("x", 0), ("y", 0), ("z", 0), ("id", 1)):
+                require_int(field, obj[field], least)
+        except InvalidSpec as exc:
+            raise ParseError(f"{where}: {exc}") from exc
+        cell, cid = Cell(obj["x"], obj["y"], obj["z"]), obj["id"]
         if not dims.contains(cell):
             raise ParseError(f"{where}: cell {tuple(cell)} outside bay {dims}")
         if grid[cell]:
             raise ParseError(f"{where}: duplicate cell {tuple(cell)}")
-        cid = _require_int(obj["id"], f"{where}.id")
-        if not 1 <= cid <= dims.capacity:
+        if cid > dims.capacity:
             raise ParseError(f"{where}.id: container ids must be in 1..{dims.capacity}, got {cid}")
         if cid in seen_ids:
             raise ParseError(f"{where}: duplicate container id {cid}")
@@ -175,14 +173,14 @@ def _write_csv(path: str | Path, header: tuple[str, ...], rows) -> None:
 
 
 def write_stats(stats: RunStats, path: str | Path) -> None:
-    """One CSV row per generation under the fixed header, read from the history's columns."""
-    columns = stats.records.columns
-    floats = (map(_fmt, columns[name].tolist()) for name in STATS_HEADER[1:])
-    _write_csv(path, STATS_HEADER, zip(columns["generation"].tolist(), *floats))
+    """One CSV row per generation under the fixed header, each column formatted by its field's type."""
+    columns, formats = stats.records.columns, {int: str, float: _fmt}
+    cells = (map(formats[kind], columns[name].tolist()) for name, kind in HISTORY_FIELDS.items())
+    _write_csv(path, STATS_HEADER, zip(*cells))
 
 
-def read_stats(path: str | Path) -> tuple[GenerationRecord, ...]:
-    """The records in `path`, whose rows must number the generations from one."""
+def read_stats(path: str | Path) -> GenerationHistory:
+    """The history in `path`, each column parsed as its field's type; rows number generations from 1."""
     path = Path(path)
     try:
         with open(path, newline="") as handle:
@@ -198,14 +196,12 @@ def read_stats(path: str | Path) -> tuple[GenerationRecord, ...]:
         if len(row) != len(STATS_HEADER):
             raise ParseError(f"{path}: line {lineno}: expected {len(STATS_HEADER)} columns")
         try:
-            records.append(
-                GenerationRecord(int(row[0]), float(row[1]), float(row[2]), float(row[3]))
-            )
+            records.append(tuple(parse(cell) for parse, cell in zip(HISTORY_FIELDS.values(), row)))
         except ValueError as exc:
             raise ParseError(f"{path}: line {lineno}: {exc}") from exc
-        if records[-1].generation != lineno - 1:
+        if records[-1][0] != lineno - 1:  # the first column numbers the generations
             raise ParseError(f"{path}: line {lineno}: expected generation {lineno - 1}, got {row[0]}")
-    return tuple(records)
+    return GenerationHistory(np.array(records, dtype=HISTORY_DTYPE))
 
 
 def write_sweep_summary(rows, path: str | Path) -> None:

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -306,25 +304,6 @@ class TestArrangementValue:
         arr = canonical_fill(inst)
         with pytest.raises(ValueError):
             arr.grid[0, 0, 0] = 7
-
-    def test_occupied_cells_in_scan_order(self):
-        inst = make_instance((2, 2, 2), [1.0] * 5)
-        arr = canonical_fill(inst)
-        listed = list(arr.occupied_cells())
-        assert [cid for _, cid in listed] == [1, 2, 3, 4, 5]
-        assert listed[-1][0] == Cell(0, 0, 1)
-
-    def test_occupied_cells_memory_on_a_sparse_bay(self):
-        """Eight containers in a 200,000-cell bay: the scan vector, and no whole-bay coordinates."""
-        arr = canonical_fill(make_instance((100, 100, 21), [1.0] * 8))
-        tracemalloc.start()
-        try:
-            listed = list(arr.occupied_cells())
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert [cid for _, cid in listed] == list(range(1, 9))
-        assert peak < 2 * arr.grid.nbytes
 
     @pytest.mark.parametrize(
         "call, message",

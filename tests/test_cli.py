@@ -67,6 +67,14 @@ class TestGenerate:
 
 
 class TestSolve:
+    def test_generations_past_limit_is_usage_error(self, tmp_path, instance_file, capsys):
+        out = tmp_path / "out"
+        assert main(["solve", str(instance_file), "--generations", str(2**24 + 1),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["usage error: generations must be at most 16777216, got 16777217"]
+        assert not out.exists()
+
     def test_writes_stats_and_best(self, tmp_path, instance_file, capsys):
         out = tmp_path / "run"
         assert solve(instance_file, out) == 0
@@ -343,11 +351,16 @@ class TestUsage:
             ["generate", "--dims", "100000x100000x100000", "--nc", "8"],
             ["sweep", "generations", "--values", "2", "--dims", "2000x2000x1000", "--nc", "8"],
             ["sweep", "containers", "--values", "1000000000000"],
+            # Runs past the generations limit, rejected before any point runs.
+            ["sweep", "population", "--values", "2", "--dims", "2x2x2", "--nc", "8",
+             "--generations", "1000000000000"],
+            ["sweep", "generations", "--values", "2,1000000000000", "--dims", "2x2x2", "--nc", "8"],
         ],
         ids=["dims", "values", "date-range-no-colon", "date-range-not-numbers",
              "generate-dims-past-index-limit", "sweep-dims-past-index-limit",
              "date-range-priority-overflows", "generate-dims-past-cell-limit",
-             "sweep-dims-past-cell-limit", "sweep-containers-past-cell-limit"],
+             "sweep-dims-past-cell-limit", "sweep-containers-past-cell-limit",
+             "sweep-generations-past-limit", "sweep-values-past-generations-limit"],
     )
     def test_bad_flag_value_is_usage_error(self, tmp_path, capsys, argv):
         assert main([*argv, "--out", str(tmp_path / "x")]) == 1

@@ -44,9 +44,8 @@ class TestFitness:
     def test_matches_dot_product_of_parts(self, rng):
         inst = make_instance((3, 2, 3), list(rng.uniform(1, 50, size=14)))
         arr = shuffle_ids(canonical_fill(inst), rng, 30)
-        result = fitness(arr, inst)
-        recomputed = sum(m / inst.delivery_dates[i - 1] for i, m in result.rehandles.items())
-        assert result.fitness == pytest.approx(recomputed, rel=1e-12)
+        recomputed = sum(m / inst.delivery_dates[i - 1] for i, m in rehandles(arr, inst).items())
+        assert fitness(arr, inst).fitness == pytest.approx(recomputed, rel=1e-12)
 
     def test_date_scaling_law(self, rng):
         """Scaling every date by k scales fitness by exactly 1/k."""

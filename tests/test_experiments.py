@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -82,6 +83,19 @@ class TestSweepSpec:
         with pytest.raises(InvalidSpec):
             SweepSpec(kind, (4, 8), config=tiny_config(), **kwargs)
 
+    @pytest.mark.parametrize(
+        "kind, values, problem",
+        [
+            ("generations", (2, 10**12), "generations must be at most"),
+            ("containers", (8, _MAX_CELLS + 1), "containers exceed"),
+        ],
+    )
+    def test_every_point_checked_at_construction(self, kind, values, problem):
+        """A value past `GaConfig`'s or the generator's bounds is rejected before any point runs."""
+        fixed = {"n_containers": 8, "dims": BayDims(2, 2, 2)} if kind == "generations" else {}
+        with pytest.raises(InvalidSpec, match=problem):
+            SweepSpec(kind, values, config=tiny_config(), **fixed)
+
     def test_unknown_kind(self):
         with pytest.raises(InvalidSpec):
             SweepSpec("elitism", (1, 2), config=tiny_config())
@@ -123,6 +137,20 @@ class TestSweepInstances:
 
 
 class TestRunSweep:
+    def test_result_retains_histories_and_bests_only(self):
+        """A sweep's result holds each run's best grid and history, not its instance."""
+        spec = SweepSpec("containers", (1000, 8000), config=GaConfig(pop_size=4, generations=2), reps=3)
+        run_sweep(spec)  # builds the bays' cached tables
+        tracemalloc.start()
+        try:
+            result = run_sweep(spec)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        grids = sum(r.stats.best.grid.nbytes for r in result.runs)
+        assert len(result.runs) == 6
+        assert retained < 1.5 * grids
+
     def test_point_and_run_bookkeeping(self):
         spec = SweepSpec("containers", (4, 8), config=tiny_config(), reps=3, base_seed=1)
         result = run_sweep(spec)

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from unittest import mock
 
@@ -16,6 +17,7 @@ from baystow import (
     GeneratorSpec,
     Instance,
     InvalidArrangement,
+    InvalidSpec,
     ShapeMismatch,
     canonical_fill,
     cell_coords,
@@ -25,6 +27,7 @@ from baystow import (
     generate_instance,
     init_population,
     mutate,
+    rearrangement_optimum,
     roulette_select,
     run,
     shuffle_ids,
@@ -88,6 +91,7 @@ class TestGaConfig:
             {"pop_size": "50"},
             {"generations": False},
             {"generations": 10.0},
+            {"generations": 2**24 + 1},
             {"init_swaps": True},
             {"init_swaps": 1.5},
             {"seed": 2.5},
@@ -98,6 +102,12 @@ class TestGaConfig:
     def test_bounds(self, kwargs):
         with pytest.raises(ValueError):
             GaConfig(**kwargs)
+
+    def test_generations_limit(self):
+        """2^24 generations, a 512 MiB history, is the limit itself."""
+        assert GaConfig(generations=2**24).generations == 2**24
+        with pytest.raises(InvalidSpec, match="at most 16777216, got 16777217"):
+            GaConfig(generations=2**24 + 1)
 
 
 class TestInitPopulation:
@@ -482,6 +492,40 @@ def test_blocked_fitness_equals_one_product(case):
     whole = inst.priority_by_id().take(seqs) @ canonical_above_counts(inst.dims, nc)
     with mock.patch.object(baystow.ga, "_BLOCK_BYTES", budget_rows * 8 * max(nc, 1)):
         assert np.array_equal(baystow.ga._batch_fitness(seqs, inst), whole)
+
+
+@st.composite
+def run_cases(draw):
+    """Random bay up to 4x4x4 with any fill, pop 1-12, any pc and pm, 1-15 generations."""
+    dims = BayDims(*(draw(st.integers(1, 4)) for _ in range(3)))
+    nc = draw(st.integers(0, dims.capacity))
+    dates = draw(st.lists(st.floats(1.0, 100.0), min_size=nc, max_size=nc))
+    cfg = GaConfig(
+        pop_size=draw(st.integers(1, 12)),
+        generations=draw(st.integers(1, 15)),
+        crossover_prob=draw(st.floats(0.0, 1.0)),
+        mutation_prob=draw(st.floats(0.0, 1.0)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        validate_every_individual=True,
+    )
+    return Instance(dims, np.array(dates)), cfg
+
+
+@settings(max_examples=60, deadline=None)
+@given(run_cases())
+def test_run_invariants(case):
+    """Every individual valid; the best never rises, stays at or above the optimum and is `fitness(best)`."""
+    inst, cfg = case
+    stats = run(inst, cfg)  # validates every individual of every generation
+    bests, means = stats.records.columns["best_fitness"], stats.records.columns["mean_fitness"]
+    assert len(bests) == cfg.generations
+    assert np.all(np.diff(bests) <= 0)
+    optimum = rearrangement_optimum(inst).optimal_fitness
+    assert np.all(bests >= optimum * (1 - 1e-12))
+    assert math.isclose(fitness(stats.best, inst).fitness, stats.best_fitness, rel_tol=1e-12)
+    assert stats.best_fitness == bests[-1]
+    # Within 1e-12: N equal values can average one rounding below their value (7/3 at N = 6).
+    assert np.all(means >= bests * (1 - 1e-12))
 
 
 class TestRun:

@@ -29,6 +29,7 @@ from baystow import (
     write_sweep_summary,
 )
 from baystow.experiments import SweepPoint
+from baystow.ga import HISTORY_DTYPE, GenerationHistory
 from conftest import make_instance
 
 READERS = {"instance": read_instance, "arrangement": read_arrangement, "stats": read_stats}
@@ -218,6 +219,23 @@ class TestArrangementFiles:
         with pytest.raises(ParseError, match="locked"):
             read_arrangement(path)
 
+    @pytest.mark.parametrize(
+        "field, value, problem",
+        [
+            ("x", 1.5, "x must be an integer >= 0, got 1.5"),
+            ("z", True, "z must be an integer >= 0, got True"),
+            ("id", -1, "id must be an integer >= 1, got -1"),
+        ],
+    )
+    def test_bad_cell_field_named(self, tmp_path, field, value, problem):
+        path = tmp_path / "bad.json"
+        cells = [{"x": 0, "y": 0, "z": 0, "id": 1}, {"x": 1, "y": 0, "z": 0, "id": 2}]
+        cells[1][field] = value
+        path.write_text(json.dumps({"dims": {"n1": 2, "n2": 1, "n3": 1}, "cells": cells}))
+        with pytest.raises(ParseError) as info:
+            read_arrangement(path)
+        assert str(info.value) == f"{path}: cells[1]: {problem}"
+
 
 class TestCompactFiles:
     def test_one_line_documents_round_trip(self, tmp_path, rng):
@@ -229,6 +247,8 @@ class TestCompactFiles:
         vector[-1], vector[28] = vector[28], 0
         sparse = Arrangement.from_scan_vector(inst.dims, vector)
         dims = {"n1": 4, "n2": 3, "n3": 3}
+        # Occupied cells in scan order: by floor, then x, then y.
+        cells = sorted(np.argwhere(sparse.grid).tolist(), key=lambda c: (c[2], c[0], c[1]))
         for obj, write, read, document in (
             (inst, write_instance, read_instance, {
                 "dims": dims,
@@ -236,7 +256,7 @@ class TestCompactFiles:
             }),
             (sparse, write_arrangement, read_arrangement, {
                 "dims": dims,
-                "cells": [{"x": c.x, "y": c.y, "z": c.z, "id": i} for c, i in sparse.occupied_cells()],
+                "cells": [{"x": x, "y": y, "z": z, "id": int(sparse.grid[x, y, z])} for x, y, z in cells],
             }),
         ):
             path = tmp_path / "file.json"
@@ -271,6 +291,17 @@ class TestStatsFiles:
         path = tmp_path / "stats.csv"
         write_stats(stats, path)
         assert [r.generation for r in read_stats(path)] == [1, 2, 3, 4, 5]
+
+    def test_read_history_is_the_run_history_type(self, tmp_path, instance):
+        """`read_stats` gives the read-only `HISTORY_DTYPE` columns that `run` gives."""
+        stats = run(instance, GaConfig(pop_size=8, generations=5, seed=2))
+        path = tmp_path / "stats.csv"
+        write_stats(stats, path)
+        records = read_stats(path)
+        assert type(records) is type(stats.records) is GenerationHistory
+        assert records.columns.dtype == HISTORY_DTYPE
+        assert not records.columns.flags.writeable
+        assert records.columns["generation"].tolist() == [1, 2, 3, 4, 5]
 
     def test_read_back_run_stats_match_the_run(self, tmp_path, instance):
         """`RunStats(read_stats(path), best, f)` reads what the run holds, to the file's six digits."""
