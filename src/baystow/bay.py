@@ -5,7 +5,8 @@ with z counting floors upward from the ground. All placement and genetic
 operators traverse cells in one fixed scan order: floor by floor from the
 ground up, then along x, then along y. Filling the first k cells of that
 order always yields a physically feasible stack (no floating containers,
-floor counts non-increasing with height).
+floor counts non-increasing with height). The engine reads that fill from two
+small caches: each cell's above-count, and its (x, y, z) in narrow dtypes.
 """
 
 from __future__ import annotations
@@ -69,7 +70,11 @@ def cell_coords(dims: BayDims, positions: np.ndarray) -> tuple[np.ndarray, np.nd
     return x, y, z
 
 
-@lru_cache(maxsize=None)
+# Bays whose tables stay cached: a run, a sweep point and the oracles each use one bay at a time.
+_CACHED_BAYS = 1
+
+
+@lru_cache(maxsize=_CACHED_BAYS)
 def canonical_above_counts(dims: BayDims, count: int) -> np.ndarray:
     """Containers stacked above each occupied cell under canonical fill.
 
@@ -87,22 +92,18 @@ def canonical_above_counts(dims: BayDims, count: int) -> np.ndarray:
     return above
 
 
-@lru_cache(maxsize=None)
-def canonical_plane_masks(dims: BayDims, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-axis plane tables (x, y, z) over the first `count` scan cells.
+@lru_cache(maxsize=_CACHED_BAYS)
+def canonical_coords(dims: BayDims, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only coordinates (x, y, z) of the first `count` scan cells.
 
-    Row p of the x table marks the cells whose x >= p, for p in 0..n1; the
-    y and z tables do the same along their axes. So the cells outside the
-    box {x < px, y < py, z < pz} are ``x[px] | y[py] | z[pz]``. The tables
-    hold ``count * (n1 + n2 + n3 + 3)`` bools, built from the `cell_coords` of
-    those cells alone, never from coordinates over the whole bay.
+    Each axis is in the narrowest unsigned dtype that holds its length n, as a
+    box plane runs to n: the cells outside {x < px, y < py, z < pz} are
+    ``(x >= px) | (y >= py) | (z >= pz)``, each plane cast to its axis's dtype.
     """
     if count > dims.capacity:
         raise ValueError(f"{count} containers exceed bay capacity {dims.capacity}")
     coords = cell_coords(dims, np.arange(count))
-    tables = tuple(
-        coord >= np.arange(n + 1)[:, None] for coord, n in zip(coords, (dims.n1, dims.n2, dims.n3))
-    )
-    for table in tables:
-        table.setflags(write=False)
-    return tables
+    narrow = tuple(c.astype(np.min_scalar_type(n)) for c, n in zip(coords, (dims.n1, dims.n2, dims.n3)))
+    for coord in narrow:
+        coord.setflags(write=False)
+    return narrow

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrangement import EMPTY, Arrangement, validate
+from .arrangement import Arrangement, validate
+from .bay import canonical_above_counts
 from .errors import InvalidArrangement
 from .instances import Instance
 
@@ -30,13 +31,10 @@ def _require_valid(arr: Arrangement, instance: Instance) -> None:
 
 
 def _rehandle_vector(arr: Arrangement) -> np.ndarray:
-    """Rehandle counts indexed by id - 1; assumes a valid arrangement."""
-    heights = np.count_nonzero(arr.grid, axis=2)
-    layers = np.arange(arr.dims.n3)
-    above = heights[:, :, None] - 1 - layers[None, None, :]
-    occupied = arr.grid != EMPTY
-    out = np.zeros(arr.n_containers, dtype=np.int64)
-    out[arr.grid[occupied] - 1] = above[occupied]
+    """Rehandle counts indexed by id - 1; a valid arrangement holds the canonical occupancy."""
+    ids = arr.id_sequence()
+    out = np.empty(ids.size, dtype=np.int64)
+    out[ids - 1] = canonical_above_counts(arr.dims, ids.size)
     return out
 
 

@@ -13,11 +13,11 @@ refills the other cells, in scan order, in the other parent's order.
 
 Each operator exists once: `_roulette`; `arrangement._transpose_rows` for
 every swap (init, mutation, `shuffle_ids`); `_order_fill`, with out-of-box
-masks ``x[px] | y[py] | z[pz]`` from three cached per-axis plane tables. The
-public operators wrap that core, so a run is reproducible whether `run` drives
-it or it is stepped manually. Fitness gathers `Instance.priority_by_id()` and
-multiplies by the cached `bay` above-counts; `run` builds the plane tables
-before the population.
+masks ``(x >= px) | (y >= py) | (z >= pz)`` over the cached narrow cell
+coordinates of `bay.canonical_coords`. The public operators wrap that core, so
+a run is reproducible whether `run` drives it or it is stepped manually.
+Fitness gathers `Instance.priority_by_id()` and multiplies by the cached `bay`
+above-counts.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import numpy as np
 
 from ._rng import mask_seed, require_seed
 from .arrangement import Arrangement, _transpose_rows, shuffle_ids
-from .bay import canonical_above_counts, canonical_plane_masks
+from .bay import canonical_above_counts, canonical_coords
 from .errors import InvalidSpec, ShapeMismatch, require_int, require_real
 from .evaluation import _require_valid
 from .instances import Instance
@@ -160,10 +160,9 @@ def _batch_fitness(seqs: np.ndarray, instance: Instance) -> np.ndarray:
 
 
 def _mean(fits: np.ndarray) -> float:
-    """Mean of finite fitness values; each is scaled by 1/N first where their sum could overflow."""
-    if fits.max() <= _FLOAT_MAX / fits.size:
-        return fits.mean()
-    return (fits / fits.size).sum()
+    """Mean of finite values, scaled by 1/N first where their sum could overflow; never below the least."""
+    mean = fits.mean() if fits.max() <= _FLOAT_MAX / fits.size else (fits / fits.size).sum()
+    return max(mean, fits.min())
 
 
 def _roulette(fits: np.ndarray, u: float | np.ndarray) -> np.ndarray:
@@ -224,14 +223,14 @@ def _step_seqs(
 
     # Each pair's parents stand in as its children; with odd N the last pair has one.
     children = seqs[parents.ravel()[:n]]
-    # Every pair's out-of-box mask at once, three table rows per pair. Masking
-    # all pairs, not only the crossing ones, keeps the array one size all run;
-    # a size that changes each generation fragmented the heap and raised peak RSS.
-    tx, ty, tz = canonical_plane_masks(dims, nc)
+    # Every pair's out-of-box mask at once, planes cast to the narrow coordinate dtypes
+    # (an int64 comparison is slower). Masking all pairs keeps the mask one size all
+    # run; a size that changes each generation fragmented the heap and raised peak RSS.
+    x, y, z = canonical_coords(dims, nc)
     px, py, pz = planes.T
-    outside = tx[px]
-    outside |= ty[py]
-    outside |= tz[pz]
+    outside = x >= px.astype(x.dtype)[:, None]
+    outside |= y >= py.astype(y.dtype)[:, None]
+    outside |= z >= pz.astype(z.dtype)[:, None]
     mark = np.zeros(nc + 1, dtype=bool)
     crossing = np.flatnonzero(do_crossover)
     for p, (i, j) in zip(crossing.tolist(), parents[crossing].tolist()):
@@ -283,8 +282,8 @@ def crossover(
     differ, this raises ShapeMismatch. Each child keeps one parent's ids at the
     occupied cells inside the box; the occupied cells outside are refilled, in
     scan order, with the ids missing from the box, taken in the order they
-    appear in the other parent's scan traversal. The out-of-box mask comes from
-    the engine's plane tables, so a crossing pair of `run` gets these children.
+    appear in the other parent's scan traversal. The out-of-box mask compares
+    the engine's cell coordinates, so a crossing pair of `run` gets these children.
     """
     if p1.dims != p2.dims:
         raise ShapeMismatch(f"parents differ in dims: {p1.dims} vs {p2.dims}")
@@ -295,8 +294,8 @@ def crossover(
     nc = s1.size
     if s2.size != nc or not (p1.scan_vector()[:nc].all() and p2.scan_vector()[:nc].all()):
         raise ShapeMismatch("parents do not both hold the canonical occupancy")
-    tx, ty, tz = canonical_plane_masks(dims, nc)
-    outside = tx[planes.px] | ty[planes.py] | tz[planes.pz]
+    x, y, z = canonical_coords(dims, nc)
+    outside = (x >= planes.px) | (y >= planes.py) | (z >= planes.pz)
     c1, c2 = s1.copy(), s2.copy()
     mark = np.zeros(int(max(s1.max(initial=0), s2.max(initial=0))) + 1, dtype=bool)
     _order_fill(c1, s2, outside, mark)
@@ -336,9 +335,6 @@ def run(instance: Instance, cfg: GaConfig) -> RunStats:
     a history array allocated once per run.
     """
     rng = np.random.default_rng(mask_seed(cfg.seed))
-    # Built before the population, so the long-lived tables do not land above
-    # it in the heap; built lazily, they raised peak RSS.
-    canonical_plane_masks(instance.dims, instance.n_containers)
     history = np.empty(cfg.generations, dtype=HISTORY_DTYPE)
     for generation in range(1, cfg.generations + 1):
         started = time.perf_counter()

@@ -35,9 +35,7 @@ class OracleResult:
 
 @lru_cache(maxsize=None)
 def _all_permutations(n: int) -> np.ndarray:
-    """All permutations of 1..n as an (n!, n) id matrix."""
-    if n == 0:
-        return np.empty((1, 0), dtype=np.int64)
+    """All permutations of 1..n as an (n!, n) id matrix; n = 0 gives one empty row."""
     return np.array(list(permutations(range(1, n + 1))), dtype=np.int64)
 
 

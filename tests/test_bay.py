@@ -1,4 +1,5 @@
 import tracemalloc
+from itertools import product
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from baystow import BayDims, Cell, InvalidSpec, canonical_above_counts, cell_coords
-from baystow.bay import _MAX_CELLS, canonical_plane_masks
+from baystow.bay import _MAX_CELLS, canonical_coords
 
 
 def cells(pairs):
@@ -152,27 +153,56 @@ def bays_and_counts(draw):
     return dims, draw(st.integers(0, dims.capacity))
 
 
-class TestCanonicalPlaneMasks:
+class TestCanonicalCoords:
     @settings(max_examples=60, deadline=None)
     @given(bays_and_counts())
-    def test_tables_match_coordinate_comparison(self, case):
-        """Every box {x < px, y < py, z < pz}, planes in 1..n, read from the tables equals the comparison."""
+    def test_masks_match_coordinate_comparison(self, case):
+        """Every box {x < px, y < py, z < pz}, planes in 0..n cast as the engine casts them, matches."""
         dims, nc = case
-        tx, ty, tz = canonical_plane_masks(dims, nc)
-        assert (tx.shape, ty.shape, tz.shape) == ((dims.n1 + 1, nc), (dims.n2 + 1, nc), (dims.n3 + 1, nc))
+        x, y, z = canonical_coords(dims, nc)
+        assert (x.shape, y.shape, z.shape) == ((nc,), (nc,), (nc,))
         xs, ys, zs = np.array(scan_order(dims)[:nc], dtype=int).reshape(nc, 3).T
-        for px in range(1, dims.n1 + 1):
-            for py in range(1, dims.n2 + 1):
-                for pz in range(1, dims.n3 + 1):
-                    expected = (xs >= px) | (ys >= py) | (zs >= pz)
-                    np.testing.assert_array_equal(tx[px] | ty[py] | tz[pz], expected)
+        planes = np.array(list(product(range(dims.n1 + 1), range(dims.n2 + 1), range(dims.n3 + 1))))
+        px, py, pz = planes.T
+        masks = x >= px.astype(x.dtype)[:, None]
+        masks |= y >= py.astype(y.dtype)[:, None]
+        masks |= z >= pz.astype(z.dtype)[:, None]
+        for (px, py, pz), mask in zip(planes.tolist(), masks):
+            np.testing.assert_array_equal(mask, (xs >= px) | (ys >= py) | (zs >= pz))
 
-    def test_tables_read_only_and_cached(self):
-        tables = canonical_plane_masks(BayDims(2, 3, 2), 7)
-        assert canonical_plane_masks(BayDims(2, 3, 2), 7) is tables
+    @pytest.mark.parametrize("n", [255, 256, 257])
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_plane_at_axis_length(self, axis, n):
+        """Plane n keeps every cell in the box and plane n - 1 cuts off the last layer, past uint8 too."""
+        lengths = [1, 1, 1]
+        lengths[axis] = n
+        coord = canonical_coords(BayDims(*lengths), n)[axis]
+        assert coord.dtype.kind == "u"
+        planes = np.array([n, n - 1])
+        masks = coord >= planes.astype(coord.dtype)[:, None]
+        assert not masks[0].any()
+        np.testing.assert_array_equal(np.flatnonzero(masks[1]), [n - 1])
+
+    def test_coords_read_only_and_cached(self):
+        coords = canonical_coords(BayDims(2, 3, 2), 7)
+        assert canonical_coords(BayDims(2, 3, 2), 7) is coords
         with pytest.raises(ValueError):
-            tables[0][0, 0] = True
+            coords[0][0] = 1
 
     def test_capacity_guard(self):
         with pytest.raises(ValueError, match="9 containers exceed bay capacity 8"):
-            canonical_plane_masks(BayDims(2, 2, 2), 9)
+            canonical_coords(BayDims(2, 2, 2), 9)
+
+    def test_memory_on_a_cube(self):
+        """A 64x64x64 bay's coordinates retain under 4 bytes a cell: one byte per axis."""
+        dims = BayDims(64, 64, 64)
+        tracemalloc.start()
+        try:
+            coords = canonical_coords.__wrapped__(dims, dims.capacity)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [c.dtype for c in coords] == [np.uint8] * 3
+        assert retained < 4 * dims.capacity
+        # Building goes through `cell_coords`' int64 vectors: 40 bytes a cell at its peak.
+        assert peak < 48 * dims.capacity

@@ -13,7 +13,7 @@ from baystow import (
     run_sweep,
     sweep_instance,
 )
-from baystow.bay import _MAX_CELLS
+from baystow.bay import _CACHED_BAYS, _MAX_CELLS, canonical_above_counts, canonical_coords
 
 
 def tiny_config(**kwargs):
@@ -150,6 +150,22 @@ class TestRunSweep:
         grids = sum(r.stats.best.grid.nbytes for r in result.runs)
         assert len(result.runs) == 6
         assert retained < 1.5 * grids
+
+    def test_tables_of_the_last_bays_only_outlive_a_sweep(self):
+        """A sweep over more 20x20x20 bays than the table cache holds leaves only the last ones' tables."""
+        values = tuple(range(7999 - _CACHED_BAYS, 8001))
+        config = GaConfig(pop_size=2, generations=2)
+        run_sweep(SweepSpec("containers", (8,), config=config))  # imports what a run imports lazily
+        tracemalloc.start()
+        try:
+            run_sweep(SweepSpec("containers", values, config=config))
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        dims = cube_dims(8000)
+        assert {cube_dims(v) for v in values} == {dims}
+        tables = sum(c.nbytes for c in (canonical_above_counts(dims, 8000), *canonical_coords(dims, 8000)))
+        assert retained < (_CACHED_BAYS + 0.5) * tables
 
     def test_point_and_run_bookkeeping(self):
         spec = SweepSpec("containers", (4, 8), config=tiny_config(), reps=3, base_seed=1)

@@ -19,6 +19,7 @@ from baystow import (
     InvalidArrangement,
     InvalidSpec,
     ShapeMismatch,
+    above_count,
     canonical_fill,
     cell_coords,
     crossover,
@@ -28,13 +29,14 @@ from baystow import (
     init_population,
     mutate,
     rearrangement_optimum,
+    rehandles,
     roulette_select,
     run,
     shuffle_ids,
     validate,
 )
 from baystow.arrangement import _transpose_rows
-from baystow.bay import canonical_above_counts, canonical_plane_masks
+from baystow.bay import canonical_above_counts
 from conftest import make_instance
 
 
@@ -416,9 +418,9 @@ def reference_step(seqs, fits, instance, cfg, rng):
     planes = rng.integers(1, (dims.n1 + 1, dims.n2 + 1, dims.n3 + 1), size=(n_pairs, 3))
 
     pool = seqs[np.concatenate([np.arange(n), parents.ravel()])]
-    tx, ty, tz = canonical_plane_masks(dims, nc)
+    x, y, z = cell_coords(dims, np.arange(nc))
     px, py, pz = planes.T
-    outside = tx[px] | ty[py] | tz[pz]
+    outside = (x >= px[:, None]) | (y >= py[:, None]) | (z >= pz[:, None])
     mark = np.zeros(nc + 1, dtype=bool)
     crossing = np.flatnonzero(do_crossover)
     for p, (i, j) in zip(crossing.tolist(), parents[crossing].tolist()):
@@ -523,9 +525,20 @@ def test_run_invariants(case):
     optimum = rearrangement_optimum(inst).optimal_fitness
     assert np.all(bests >= optimum * (1 - 1e-12))
     assert math.isclose(fitness(stats.best, inst).fitness, stats.best_fitness, rel_tol=1e-12)
+    # The depths `fitness` reads from the canonical table equal the cells stacked in the best's grid.
+    cells = map(tuple, np.argwhere(stats.best.grid))
+    assert rehandles(stats.best, inst) == {int(stats.best.grid[c]): above_count(stats.best, c) for c in cells}
     assert stats.best_fitness == bests[-1]
-    # Within 1e-12: N equal values can average one rounding below their value (7/3 at N = 6).
-    assert np.all(means >= bests * (1 - 1e-12))
+    assert np.all(means >= bests)
+
+
+def test_mean_of_equal_values_not_below_best():
+    """Six equal fitness values average one rounding below their value; the recorded mean does not."""
+    inst = Instance(BayDims(1, 3, 2), np.array([1.0, 3.0, 1.0, 1.0, 1.0, 1.0]))
+    stats = run(inst, GaConfig(pop_size=6, generations=3, crossover_prob=0, mutation_prob=0, seed=0))
+    bests, means = stats.records.columns["best_fitness"], stats.records.columns["mean_fitness"]
+    assert means[-1] == bests[-1]
+    assert np.all(means >= bests)
 
 
 class TestRun:
