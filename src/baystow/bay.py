@@ -86,8 +86,10 @@ def canonical_above_counts(dims: BayDims, count: int) -> np.ndarray:
     if count > dims.capacity:
         raise ValueError(f"{count} containers exceed bay capacity {dims.capacity}")
     full_floors, remainder = divmod(count, dims.floor_capacity)
-    z, column = np.divmod(np.arange(count), dims.floor_capacity)
-    above = full_floors - 1 - z + (column < remainder)
+    above = np.zeros(count, dtype=np.int64)  # the partial top floor has none above
+    floors = above[: count - remainder].reshape(full_floors, dims.floor_capacity)
+    floors[...] = np.arange(full_floors, dtype=np.min_scalar_type(full_floors))[::-1, None]
+    floors[:, :remainder] += 1  # columns that reach the partial top floor
     above.setflags(write=False)
     return above
 
@@ -102,8 +104,14 @@ def canonical_coords(dims: BayDims, count: int) -> tuple[np.ndarray, np.ndarray,
     """
     if count > dims.capacity:
         raise ValueError(f"{count} containers exceed bay capacity {dims.capacity}")
-    coords = cell_coords(dims, np.arange(count))
-    narrow = tuple(c.astype(np.min_scalar_type(n)) for c, n in zip(coords, (dims.n1, dims.n2, dims.n3)))
-    for coord in narrow:
+    coords = []
+    for n, step in ((dims.n1, dims.n2), (dims.n2, 1), (dims.n3, dims.floor_capacity)):
+        # Scan cell k has coordinate (k // step) % n: runs of `step` cells take 0..n-1 in turn.
+        coord = np.empty(count, dtype=np.min_scalar_type(n))
+        runs, last = divmod(count, step)
+        values = np.tile(np.arange(min(n, runs), dtype=coord.dtype), -(-runs // n))[:runs]
+        coord[: count - last].reshape(runs, step)[...] = values[:, None]
+        coord[count - last :] = runs % n
         coord.setflags(write=False)
-    return narrow
+        coords.append(coord)
+    return tuple(coords)

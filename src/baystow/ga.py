@@ -16,8 +16,8 @@ every swap (init, mutation, `shuffle_ids`); `_order_fill`, with out-of-box
 masks ``(x >= px) | (y >= py) | (z >= pz)`` over the cached narrow cell
 coordinates of `bay.canonical_coords`. The public operators wrap that core, so
 a run is reproducible whether `run` drives it or it is stepped manually.
-Fitness gathers `Instance.priority_by_id()` and multiplies by the cached `bay`
-above-counts.
+Fitness is `evaluation._batch_fitness`, the kernel `fitness()` and the oracles
+use too; a row's bits do not depend on its place, so a clone ties its parent.
 """
 
 from __future__ import annotations
@@ -31,13 +31,12 @@ import numpy as np
 
 from ._rng import mask_seed, require_seed
 from .arrangement import Arrangement, _transpose_rows, shuffle_ids
-from .bay import canonical_above_counts, canonical_coords
+from .bay import canonical_coords
 from .errors import InvalidSpec, ShapeMismatch, require_int, require_real
-from .evaluation import _require_valid
+from .evaluation import _BLOCK_BYTES, _batch_fitness, _require_valid
 from .instances import Instance
 
 _FLOAT_MAX = np.finfo(np.float64).max
-_BLOCK_BYTES = 1 << 18  # a fitness block's gathered priorities, or one group of init draws
 
 
 @dataclass(frozen=True)
@@ -139,26 +138,6 @@ class RunStats:
         return float(self.records.columns["elapsed_ms"].sum())
 
 
-def _batch_fitness(seqs: np.ndarray, instance: Instance) -> np.ndarray:
-    """Fitness of each row of an id-sequence matrix, gathered and multiplied a block of rows at a time.
-
-    A block's gathered priorities take about `_BLOCK_BYTES`. Blocks are a
-    multiple of 4 rows because OpenBLAS's gemv computes rows in fours, so each
-    row gets the bits of one single-threaded product over the whole matrix; a
-    lone last row would go through dot instead, so it joins the block before it.
-    """
-    above = canonical_above_counts(instance.dims, instance.n_containers)
-    priority = instance.priority_by_id()
-    n = len(seqs)
-    block = max(4, _BLOCK_BYTES // (priority.itemsize * max(above.size, 1)) // 4 * 4)
-    fits = np.empty(n)
-    start = 0
-    for stop in [*range(block, n - 1, block), n]:
-        fits[start:stop] = priority.take(seqs[start:stop]) @ above
-        start = stop
-    return fits
-
-
 def _mean(fits: np.ndarray) -> float:
     """Mean of finite values, scaled by 1/N first where their sum could overflow; never below the least."""
     mean = fits.mean() if fits.max() <= _FLOAT_MAX / fits.size else (fits / fits.size).sum()
@@ -191,15 +170,14 @@ def _init_seqs(instance: Instance, cfg: GaConfig, rng: np.random.Generator) -> n
     swaps = cfg.init_swaps if cfg.init_swaps is not None else nc
     seqs = np.tile(np.arange(1, nc + 1, dtype=np.int64), (cfg.pop_size, 1))
     if swaps and nc:
-        # The int64 draws fill the rows in order, so drawing a group of rows at a
-        # time gives the numbers of one (pop_size, swaps, 2) draw; they are kept
-        # in the narrowest dtype that holds a position. A narrow `dtype=` in the
-        # draw itself would change the numbers.
+        # The int64 draws fill in row-major order, so drawing `_BLOCK_BYTES` of pairs at a time
+        # gives the numbers of one (pop_size, swaps, 2) draw, kept in the narrowest dtype that
+        # holds a position. A narrow `dtype=` in the draw itself would change the numbers.
         pairs = np.empty((cfg.pop_size, swaps, 2), dtype=np.min_scalar_type(nc - 1))
-        group = max(1, _BLOCK_BYTES // (8 * pairs[0].size))
-        for start in range(0, cfg.pop_size, group):
-            rows = pairs[start : start + group]
-            rows[...] = rng.integers(0, nc, size=rows.shape)
+        flat, step = pairs.reshape(-1, 2), max(1, _BLOCK_BYTES // 16)  # a drawn pair is 16 bytes
+        for start in range(0, len(flat), step):
+            chunk = flat[start : start + step]
+            chunk[...] = rng.integers(0, nc, size=chunk.shape)
         seqs = _transpose_rows(seqs, pairs)
     _check(seqs, instance, cfg)
     return seqs

@@ -7,8 +7,8 @@ enumerates every permutation and is limited to small instances;
 optimal because the cost is a sum of pairwise products between a fixed
 multiset of priorities and a fixed multiset of above-counts: pairing the
 largest priority with the smallest count minimizes the sum. The two agree
-wherever both apply, and each reports its optimum through the same fitness
-code path the engine uses, so values are directly comparable.
+wherever both apply. Each scores its witness with the engine's fitness kernel,
+so an optimum has the bits of an engine row holding the same id sequence.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 
 from .arrangement import Arrangement
 from .bay import canonical_above_counts
-from .evaluation import fitness
+from .evaluation import _batch_fitness, fitness
 from .instances import Instance
 
 EXHAUSTIVE_LIMIT = 8
@@ -53,9 +53,9 @@ def exhaustive_optimum(instance: Instance) -> OracleResult:
             f"exhaustive search is capped at {EXHAUSTIVE_LIMIT}"
         )
     perms = _all_permutations(nc)
-    costs = instance.priority_by_id().take(perms) @ canonical_above_counts(instance.dims, nc)
-    witness = Arrangement.from_id_sequence(instance.dims, perms[int(np.argmin(costs))])
-    return OracleResult(fitness(witness, instance).fitness, witness)
+    costs = _batch_fitness(perms, instance)
+    best = int(np.argmin(costs))
+    return OracleResult(float(costs[best]), Arrangement.from_id_sequence(instance.dims, perms[best]))
 
 
 def rearrangement_optimum(instance: Instance) -> OracleResult:

@@ -146,6 +146,18 @@ class TestCanonicalAboveCounts:
         assert above.tolist() == [0] * 8
         assert peak < 1_000_000
 
+    def test_memory_on_a_cube(self):
+        """A 64x64x64 bay's above-counts peak under 16 bytes a cell: the 8-byte table, from per-floor depths."""
+        dims = BayDims(64, 64, 64)
+        tracemalloc.start()
+        try:
+            above = canonical_above_counts.__wrapped__(dims, dims.capacity - 100)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (above[0], above[4095], above[-1]) == (63, 62, 0)
+        assert peak < 16 * dims.capacity
+
 
 @st.composite
 def bays_and_counts(draw):
@@ -204,5 +216,5 @@ class TestCanonicalCoords:
             tracemalloc.stop()
         assert [c.dtype for c in coords] == [np.uint8] * 3
         assert retained < 4 * dims.capacity
-        # Building goes through `cell_coords`' int64 vectors: 40 bytes a cell at its peak.
-        assert peak < 48 * dims.capacity
+        # Each axis is built in its own dtype, with no int64 index vector.
+        assert peak < 8 * dims.capacity

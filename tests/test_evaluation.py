@@ -3,12 +3,18 @@ import pytest
 
 from baystow import (
     Arrangement,
+    BayDims,
+    GaConfig,
+    GeneratorSpec,
     InvalidArrangement,
     canonical_fill,
     fitness,
+    generate_instance,
     rehandles,
     shuffle_ids,
 )
+from baystow.evaluation import _batch_fitness
+from baystow.ga import _init_seqs
 from conftest import make_instance
 
 
@@ -46,6 +52,14 @@ class TestFitness:
         arr = shuffle_ids(canonical_fill(inst), rng, 30)
         recomputed = sum(m / inst.delivery_dates[i - 1] for i, m in rehandles(arr, inst).items())
         assert fitness(arr, inst).fitness == pytest.approx(recomputed, rel=1e-12)
+
+    @pytest.mark.parametrize("dims, nc", [((4, 4, 4), 64), ((10, 10, 10), 1000)])
+    def test_equals_the_engine_value_of_each_row(self, dims, nc):
+        """`fitness()` of every row of a population has the bits the engine gives that row in the batch."""
+        inst = generate_instance(GeneratorSpec(BayDims(*dims), nc, seed=1))
+        seqs = _init_seqs(inst, GaConfig(pop_size=50), np.random.default_rng(1))
+        got = [fitness(Arrangement.from_id_sequence(inst.dims, seq), inst).fitness for seq in seqs]
+        np.testing.assert_array_equal(got, _batch_fitness(seqs, inst))
 
     def test_date_scaling_law(self, rng):
         """Scaling every date by k scales fitness by exactly 1/k."""

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import baystow.evaluation
 import baystow.ga
 from baystow import (
     EMPTY,
@@ -36,7 +37,7 @@ from baystow import (
     validate,
 )
 from baystow.arrangement import _transpose_rows
-from baystow.bay import canonical_above_counts
+from baystow.evaluation import _batch_fitness
 from conftest import make_instance
 
 
@@ -57,6 +58,11 @@ def small_instance(nc=8, seed=0):
 def large_instance():
     """The `large-bay` size: 8000 containers filling a 20x20x20 bay."""
     return generate_instance(GeneratorSpec(BayDims(20, 20, 20), 8000, seed=1))
+
+
+def long_row_instance():
+    """100,000 containers filling a 50x50x40 bay: one id row is 800 KB, three `_BLOCK_BYTES`."""
+    return generate_instance(GeneratorSpec(BayDims(50, 50, 40), 100_000, seed=1))
 
 
 def traced_peak(call):
@@ -142,6 +148,21 @@ class TestInitPopulation:
         seqs = baystow.ga._init_seqs(inst, cfg, np.random.default_rng(0))
         peak = traced_peak(lambda: baystow.ga._init_seqs(inst, cfg, np.random.default_rng(0)))
         assert peak < 1.8 * seqs.nbytes
+
+    def test_init_memory_at_pop_2_on_a_long_row(self):
+        """Init at pop 2 x Nc 100,000 peaks under 2.3 populations: it draws chunks, not whole rows, of int64."""
+        inst, cfg = long_row_instance(), GaConfig(pop_size=2)
+        seqs = baystow.ga._init_seqs(inst, cfg, np.random.default_rng(0))
+        peak = traced_peak(lambda: baystow.ga._init_seqs(inst, cfg, np.random.default_rng(0)))
+        assert peak < 2.3 * seqs.nbytes
+
+    @pytest.mark.parametrize("budget", [1, 16 * 7, 16 * 999])
+    def test_draw_chunks_do_not_change_the_population(self, budget):
+        """Drawing the swap positions in chunks of 1, 7 or 999 pairs gives the population of the default chunks."""
+        inst, cfg = generate_instance(GeneratorSpec(BayDims(10, 10, 10), 1000, seed=3)), GaConfig(pop_size=3)
+        expected = baystow.ga._init_seqs(inst, cfg, np.random.default_rng(4))
+        with mock.patch.object(baystow.ga, "_BLOCK_BYTES", budget):
+            np.testing.assert_array_equal(baystow.ga._init_seqs(inst, cfg, np.random.default_rng(4)), expected)
 
 
 class TestRouletteSelect:
@@ -396,7 +417,7 @@ class TestEvolveStep:
         """
         inst, cfg = large_instance(), GaConfig(pop_size=50)
         seqs = baystow.ga._init_seqs(inst, cfg, np.random.default_rng(0))
-        fits = baystow.ga._batch_fitness(seqs, inst)
+        fits = _batch_fitness(seqs, inst)
         rows = np.arange(cfg.pop_size)
         rng = np.random.default_rng(1)
         peak = traced_peak(lambda: baystow.ga._step_seqs(seqs, rows, fits, inst, cfg, rng))
@@ -433,7 +454,7 @@ def reference_step(seqs, fits, instance, cfg, rng):
         pairs = rng.integers(0, nc, size=(n, 2)) * mutate_flags[:, None]
         _transpose_rows(offspring, pairs[:, None])
 
-    pool_fits = np.concatenate([fits, baystow.ga._batch_fitness(offspring, instance)])
+    pool_fits = np.concatenate([fits, _batch_fitness(offspring, instance)])
     order = np.argsort(pool_fits, kind="stable")[:n]
     return pool[order], pool_fits[order]
 
@@ -465,7 +486,7 @@ def test_step_matches_reference_step(case):
     seqs = baystow.ga._init_seqs(inst, cfg, rng)
     ref_seqs = baystow.ga._init_seqs(inst, cfg, ref_rng)
     rows = np.arange(cfg.pop_size)
-    fits = ref_fits = baystow.ga._batch_fitness(seqs, inst)
+    fits = ref_fits = _batch_fitness(seqs, inst)
     for _ in range(generations):
         rows, fits = baystow.ga._step_seqs(seqs, rows, fits, inst, cfg, rng)
         ref_seqs, ref_fits = reference_step(ref_seqs, ref_fits, inst, cfg, ref_rng)
@@ -475,25 +496,34 @@ def test_step_matches_reference_step(case):
 
 
 @st.composite
-def fitness_blocks(draw):
-    """Random bay with 0-200 containers, 1-70 rows of ids, and a block budget of 1-12 rows."""
-    dims = BayDims(*(draw(st.integers(1, 6)) for _ in range(3)))
-    nc = draw(st.integers(0, min(dims.capacity, 200)))
-    dates = draw(st.lists(st.floats(1.0, 100.0), min_size=nc, max_size=nc))
+def fitness_batches(draw):
+    """Random bay with 0-200 containers, or 8,100-10,000 (past einsum's buffer), 1-12 rows of ids, any budget.
+
+    The long rows sit in a 20x20x25 bay, so the entries past 8,192 have nonzero depths.
+    """
+    if draw(st.integers(0, 4)):
+        dims = BayDims(*(draw(st.integers(1, 6)) for _ in range(3)))
+        nc = draw(st.integers(0, min(dims.capacity, 200)))
+    else:
+        dims, nc = BayDims(20, 20, 25), draw(st.integers(8100, 10_000))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    seqs = rng.permuted(np.tile(np.arange(1, nc + 1), (draw(st.integers(1, 70)), 1)), axis=1)
-    return Instance(dims, np.array(dates)), seqs, draw(st.integers(1, 12))
+    seqs = rng.permuted(np.tile(np.arange(1, nc + 1), (draw(st.integers(1, 12)), 1)), axis=1)
+    return Instance(dims, rng.uniform(1.0, 100.0, nc)), seqs, draw(st.integers(1, 1 << 20))
 
 
 @settings(max_examples=200, deadline=None)
-@given(fitness_blocks())
-def test_blocked_fitness_equals_one_product(case):
-    """Fitness in blocks of rows has the bits of one gather and product over the whole matrix."""
-    inst, seqs, budget_rows = case
-    nc = inst.n_containers
-    whole = inst.priority_by_id().take(seqs) @ canonical_above_counts(inst.dims, nc)
-    with mock.patch.object(baystow.ga, "_BLOCK_BYTES", budget_rows * 8 * max(nc, 1)):
-        assert np.array_equal(baystow.ga._batch_fitness(seqs, inst), whole)
+@given(fitness_batches())
+def test_fitness_bits_do_not_depend_on_position(case):
+    """Each row's fitness has the bits of the row scored alone, shifted 1-3 rows, and under any block budget."""
+    inst, seqs, budget = case
+    fits = _batch_fitness(seqs, inst)
+    alone = [_batch_fitness(row[None], inst)[0] for row in seqs]
+    np.testing.assert_array_equal(fits, alone)
+    for shift in (1, 2, 3):
+        filler = np.tile(np.arange(1, inst.n_containers + 1), (shift, 1))
+        np.testing.assert_array_equal(_batch_fitness(np.vstack([filler, seqs]), inst)[shift:], fits)
+    with mock.patch.object(baystow.evaluation, "_BLOCK_BYTES", budget):
+        np.testing.assert_array_equal(_batch_fitness(seqs, inst), fits)
 
 
 @st.composite
@@ -530,6 +560,26 @@ def test_run_invariants(case):
     assert rehandles(stats.best, inst) == {int(stats.best.grid[c]): above_count(stats.best, c) for c in cells}
     assert stats.best_fitness == bests[-1]
     assert np.all(means >= bests)
+
+
+def test_fitness_memory_is_two_rows_on_a_long_row():
+    """Fitness of 8 rows at Nc 100,000 peaks at two rows' bytes: one gathered row and the float depths."""
+    inst = long_row_instance()
+    seqs = np.tile(np.arange(1, inst.n_containers + 1), (8, 1))
+    fits = _batch_fitness(seqs, inst)  # builds the instance's cached table
+    peak = traced_peak(lambda: _batch_fitness(seqs, inst))
+    assert np.all(fits == fits[0])
+    assert peak < 2.2 * seqs[0].nbytes
+
+
+@pytest.mark.parametrize("dims, nc", [((4, 4, 4), 64), ((10, 10, 10), 1000)])
+def test_clone_only_run_keeps_its_best_bits(dims, nc):
+    """With pc = pm = 0 every child is a clone, so each run records one best fitness, bit for bit, throughout."""
+    inst = generate_instance(GeneratorSpec(BayDims(*dims), nc, seed=2))
+    for seed in range(10):
+        stats = run(inst, GaConfig(pop_size=50, generations=30, crossover_prob=0, mutation_prob=0, seed=seed))
+        bests = stats.records.columns["best_fitness"]
+        assert np.all(bests == bests[0]), seed
 
 
 def test_mean_of_equal_values_not_below_best():
@@ -611,7 +661,7 @@ class TestRun:
         stats = run(inst, cfg)
         rng = np.random.default_rng(cfg.seed)
         seqs = baystow.ga._init_seqs(inst, cfg, rng)
-        rows, fits = np.arange(cfg.pop_size), baystow.ga._batch_fitness(seqs, inst)
+        rows, fits = np.arange(cfg.pop_size), _batch_fitness(seqs, inst)
         expected = []
         for generation in range(1, cfg.generations + 1):
             if generation > 1:

@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,8 @@ from baystow import (
     shuffle_ids,
     validate,
 )
-from baystow.ga import _batch_fitness, _init_seqs
+from baystow.evaluation import _batch_fitness
+from baystow.ga import _init_seqs
 from conftest import make_instance
 
 # Integer dates make priority ties likely; float dates make them rare.
@@ -106,10 +109,20 @@ class TestProperties:
         optimum = rearrangement_optimum(inst).optimal_fitness
         for seq, batch in zip(seqs, _batch_fitness(seqs, inst)):
             expected = fitness(Arrangement.from_id_sequence(inst.dims, seq), inst).fitness
-            assert batch == pytest.approx(expected, rel=1e-12)
-            # The batch sums in scan order and the oracle in id order, so an
-            # optimal row may differ from the optimum in the last digits.
+            assert batch == expected
+            # An optimal row in another order than the oracle's witness sums
+            # its products in another order, so it may round below the optimum.
             assert batch >= optimum * (1 - 1e-12)
+
+    @settings(max_examples=50, deadline=None)
+    @given(instances(max_nc=6))
+    def test_exhaustive_is_the_least_kernel_value(self, inst):
+        """The exhaustive optimum is the least fitness of any permutation scored alone, bit for bit."""
+        perms = np.array(list(permutations(range(1, inst.n_containers + 1))), dtype=np.int64)
+        least = min(_batch_fitness(perm[None], inst)[0] for perm in perms)
+        result = exhaustive_optimum(inst)
+        assert result.optimal_fitness == least
+        assert fitness(result.witness, inst).fitness == least
 
     @settings(max_examples=100, deadline=None)
     @given(instances(max_nc=8))
