@@ -37,11 +37,13 @@ for cid, (date, priority) in enumerate(zip(inst.delivery_dates, inst.priority_ve
 
 # The canonical fill drops ids 1..Nc into the first Nc scan slots.
 arr = canonical_fill(inst)
-print("\ncanonical fill, floor by floor (0 = empty):")
+print(f"\nstored scan vector, cut after the last occupied cell: {arr.scan.tolist()}")
+grid = arr.grid  # the dense view, built on each access
+print("canonical fill, floor by floor (0 = empty):")
 for z in range(dims.n3):
     print(f"  z={z}:")
     for y in range(dims.n2):
-        print("   ", " ".join(f"{arr.grid[x, y, z]:2d}" for x in range(dims.n1)))
+        print("   ", " ".join(f"{grid[x, y, z]:2d}" for x in range(dims.n1)))
 
 # Containers stacked above a cell are the ones that must move to reach it.
 probe = Cell(0, 0, 0)

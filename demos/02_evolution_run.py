@@ -32,5 +32,6 @@ print(f"\nrecomputed fitness of returned arrangement: {check:.4f}")
 
 # Bottom floor of the winner: high-priority ids should sit on top, not here.
 print("\nbest arrangement, bottom floor (z=0):")
+grid = stats.best.grid  # the dense view, built on each access
 for y in range(inst.dims.n2):
-    print("  ", " ".join(f"{stats.best.grid[x, y, 0]:2d}" for x in range(inst.dims.n1)))
+    print("  ", " ".join(f"{grid[x, y, 0]:2d}" for x in range(inst.dims.n1)))

@@ -1,10 +1,12 @@
 """Arrangements: assignments of container ids to bay cells, plus their checks.
 
-An arrangement is the chromosome of the search: a 3D grid holding a container
-id in each occupied cell and 0 elsewhere. The genetic operators all permute
-ids over a fixed set of occupied cells (the canonical fill pattern), which
-keeps the stacking constraints satisfied by construction; `validate` checks
-them independently anyway and reports violations as data.
+An arrangement is the chromosome of the search: the ids of the bay's cells in
+scan order, 0 marking an empty cell, stored up to the last occupied cell, so
+it costs O(Nc) in a bay of any size. The genetic operators all permute ids
+over a fixed set of occupied cells (the canonical fill pattern, the first Nc
+cells of scan order), which keeps the stacking constraints satisfied by
+construction; `validate` checks them independently anyway and reports
+violations as data.
 """
 
 from __future__ import annotations
@@ -18,60 +20,55 @@ from .bay import BayDims, Cell, cell_coords
 from .errors import ShapeMismatch
 from .instances import Instance
 
-EMPTY = 0  # grid value marking an unoccupied cell
+EMPTY = 0  # scan value marking an unoccupied cell
 
 
 @dataclass(frozen=True, eq=False)
 class Arrangement:
-    """Container ids on the bay grid; ``grid[x, y, z] == 0`` marks an empty cell."""
+    """Container ids of the bay's cells in scan order; ``scan[k] == 0`` marks an empty cell.
+
+    `scan` is copied once, cut after its last occupied cell (every cell past it
+    is empty) and frozen, so a valid arrangement's `scan` is its id sequence.
+    """
 
     dims: BayDims
-    grid: np.ndarray
+    scan: np.ndarray
 
     def __post_init__(self) -> None:
-        expected = (self.dims.n1, self.dims.n2, self.dims.n3)
-        grid = np.ascontiguousarray(self.grid, dtype=np.int64)
-        if grid.shape != expected:
-            raise ValueError(f"grid shape {grid.shape} does not match dims {expected}")
-        grid.setflags(write=False)
-        object.__setattr__(self, "grid", grid)
+        vector = np.asarray(self.scan, dtype=np.int64)
+        if vector.ndim != 1:
+            raise ValueError(f"scan vector must be one-dimensional, got shape {vector.shape}")
+        if vector.size > self.dims.capacity:
+            raise ValueError(f"{vector.size} ids exceed bay capacity {self.dims.capacity}")
+        scan = vector[: np.flatnonzero(vector)[-1] + 1 if vector.any() else 0].copy()
+        scan.setflags(write=False)
+        object.__setattr__(self, "scan", scan)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Arrangement):
             return NotImplemented
-        return self.dims == other.dims and np.array_equal(self.grid, other.grid)
+        return self.dims == other.dims and np.array_equal(self.scan, other.scan)
 
     @property
     def n_containers(self) -> int:
-        return int(np.count_nonzero(self.grid))
+        return int(np.count_nonzero(self.scan))
 
-    def scan_vector(self) -> np.ndarray:
-        """Grid values in scan order; length equals the bay capacity."""
-        return self.grid.transpose(2, 0, 1).ravel()
+    @property
+    def grid(self) -> np.ndarray:
+        """A read-only dense view, ``grid[x, y, z]``, built on each access: O(capacity)."""
+        grid = np.zeros((self.dims.n1, self.dims.n2, self.dims.n3), dtype=np.int64)
+        grid[cell_coords(self.dims, np.arange(self.scan.size))] = self.scan
+        grid.setflags(write=False)
+        return grid
 
     def id_sequence(self) -> np.ndarray:
         """Ids of the occupied cells in scan order."""
-        vector = self.scan_vector()
-        return vector[vector != EMPTY]
-
-    @classmethod
-    def from_scan_vector(cls, dims: BayDims, vector: Sequence[int] | np.ndarray) -> Arrangement:
-        """Build from a full-length scan-order vector (zeros where empty)."""
-        flat = np.asarray(vector, dtype=np.int64)
-        if flat.shape != (dims.capacity,):
-            raise ValueError(f"scan vector must have length {dims.capacity}, got {flat.shape}")
-        grid = flat.reshape(dims.n3, dims.n1, dims.n2).transpose(1, 2, 0)
-        return cls(dims, grid)
+        return self.scan[self.scan != EMPTY]
 
     @classmethod
     def from_id_sequence(cls, dims: BayDims, sequence: Sequence[int] | np.ndarray) -> Arrangement:
         """Place `sequence` into the first cells of scan order (canonical occupancy)."""
-        seq = np.asarray(sequence, dtype=np.int64)
-        if seq.size > dims.capacity:
-            raise ValueError(f"{seq.size} ids exceed bay capacity {dims.capacity}")
-        full = np.zeros(dims.capacity, dtype=np.int64)
-        full[: seq.size] = seq
-        return cls.from_scan_vector(dims, full)
+        return cls(dims, sequence)
 
 
 @dataclass(frozen=True)
@@ -88,7 +85,7 @@ class Violation:
 
 def canonical_fill(instance: Instance) -> Arrangement:
     """Place ids 1..Nc into the first Nc cells of scan order."""
-    return Arrangement.from_id_sequence(instance.dims, np.arange(1, instance.n_containers + 1))
+    return Arrangement(instance.dims, np.arange(1, instance.n_containers + 1))
 
 
 def shuffle_ids(arr: Arrangement, rng: np.random.Generator, swaps: int) -> Arrangement:
@@ -100,12 +97,11 @@ def shuffle_ids(arr: Arrangement, rng: np.random.Generator, swaps: int) -> Arran
     """
     if swaps < 0:
         raise ValueError(f"swaps must be >= 0, got {swaps}")
-    vector = arr.scan_vector().copy()
-    occupied = np.flatnonzero(vector)
+    occupied = np.flatnonzero(arr.scan)
     if swaps == 0 or occupied.size < 1:
         return arr
     pairs = occupied[rng.integers(0, occupied.size, size=(swaps, 2))].reshape(1, swaps, 2)
-    return Arrangement.from_scan_vector(arr.dims, _transpose_rows(vector[None], pairs)[0])
+    return Arrangement(arr.dims, _transpose_rows(arr.scan[None].copy(), pairs)[0])
 
 
 _SWAP_BLOCK = 256  # steps whose flat indices are built at once (0.4 MB at 50 rows)
@@ -145,10 +141,11 @@ def above_count(arr: Arrangement, cell: Cell) -> int:
     cell = Cell(*cell)
     if not arr.dims.contains(cell):
         raise ValueError(f"cell {tuple(cell)} outside bay {arr.dims}")
-    x, y, z = cell
-    if arr.grid[x, y, z] == EMPTY:
+    fc = arr.dims.floor_capacity
+    position = cell.z * fc + cell.x * arr.dims.n2 + cell.y
+    if position >= arr.scan.size or arr.scan[position] == EMPTY:
         raise ValueError(f"cell {tuple(cell)} is empty")
-    return int(np.count_nonzero(arr.grid[x, y, z + 1 :]))
+    return int(np.count_nonzero(arr.scan[position + fc :: fc]))
 
 
 def validate(arr: Arrangement, instance: Instance) -> list[Violation]:
@@ -163,12 +160,14 @@ def validate(arr: Arrangement, instance: Instance) -> list[Violation]:
     """
     if arr.dims != instance.dims:
         raise ShapeMismatch(f"arrangement dims {arr.dims} != instance dims {instance.dims}")
-    dims = arr.dims
-    nc = instance.n_containers
-    occupied = arr.grid != EMPTY
+    dims, scan = arr.dims, arr.scan
+    nc, fc = instance.n_containers, dims.floor_capacity
+    # Occupancy by scan position; every position past the mask is empty.
+    occupied = np.zeros(max(scan.size, nc), dtype=bool)
+    occupied[: scan.size] = scan != EMPTY
     violations: list[Violation] = []
 
-    values, counts = np.unique(arr.grid[occupied], return_counts=True)
+    values, counts = np.unique(scan[occupied[: scan.size]], return_counts=True)
     foreign = (values < 1) | (values > nc)
     flagged = (counts > 1) | foreign
     for value, count, alien in zip(*(col[flagged].tolist() for col in (values, counts, foreign))):
@@ -181,13 +180,14 @@ def validate(arr: Arrangement, instance: Instance) -> list[Violation]:
     for missing in np.flatnonzero(~placed[1:]).tolist():
         violations.append(Violation("permutation", f"id {missing + 1}", "placed nowhere"))
 
-    floating = occupied[:, :, 1:] & ~occupied[:, :, :-1]
-    for x, y, z in np.argwhere(floating).tolist():
+    # The cell below scan position p is p - fc; report by (x, y, z), as a grid walk would.
+    floating = cell_coords(dims, np.flatnonzero(occupied[fc:] & ~occupied[:-fc]) + fc)
+    for x, y, z in sorted(zip(*(c.tolist() for c in floating))):
         violations.append(
-            Violation("support", f"cell ({x}, {y}, {z + 1})", "occupied cell with empty cell below")
+            Violation("support", f"cell ({x}, {y}, {z})", "occupied cell with empty cell below")
         )
 
-    floor_counts = occupied.sum(axis=(0, 1)).tolist()
+    floor_counts = np.bincount(np.flatnonzero(occupied) // fc).tolist()
     for j in np.flatnonzero(np.diff(floor_counts) > 0).tolist():
         violations.append(
             Violation(
@@ -197,10 +197,9 @@ def validate(arr: Arrangement, instance: Instance) -> list[Violation]:
             )
         )
 
-    occupied_scan = arr.scan_vector() != EMPTY
     for positions, detail in (
-        (np.flatnonzero(occupied_scan[nc:]) + nc, "occupied outside the canonical fill pattern"),
-        (np.flatnonzero(~occupied_scan[:nc]), "canonical fill cell left empty"),
+        (np.flatnonzero(occupied[nc:]) + nc, "occupied outside the canonical fill pattern"),
+        (np.flatnonzero(~occupied[:nc]), "canonical fill cell left empty"),
     ):
         for x, y, z in zip(*(c.tolist() for c in cell_coords(dims, positions))):
             violations.append(Violation("occupancy", f"cell ({x}, {y}, {z})", detail))

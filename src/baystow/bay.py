@@ -19,8 +19,8 @@ import numpy as np
 
 from .errors import InvalidSpec, require_int
 
-# The most cells a bay may have, on any host: an `Arrangement`'s dense int64 grid
-# stays within 128 MiB, and the largest bay any test or workload uses has 4M cells.
+# The most cells a bay may have, on any host: an `Arrangement`'s on-demand dense grid, and a file's
+# scan vector that fills the last cell, stay within 128 MiB; no test or workload uses over 4M cells.
 _MAX_CELLS = 1 << 24
 
 

@@ -56,10 +56,9 @@ def _batch_fitness(seqs: np.ndarray, instance: Instance) -> np.ndarray:
 def rehandles(arr: Arrangement, instance: Instance) -> dict[int, int]:
     """Minimum moves needed to expose each container: the count stacked above it."""
     _require_valid(arr, instance)
-    ids = arr.id_sequence()
-    above = np.empty(ids.size, dtype=np.int64)
-    above[ids - 1] = canonical_above_counts(arr.dims, ids.size)
-    return {i + 1: int(m) for i, m in enumerate(above)}
+    above = np.empty(arr.scan.size, dtype=np.int64)  # a valid scan is the id sequence
+    above[arr.scan - 1] = canonical_above_counts(arr.dims, arr.scan.size)
+    return dict(enumerate(above.tolist(), 1))
 
 
 def fitness(arr: Arrangement, instance: Instance) -> EvalResult:

@@ -161,7 +161,7 @@ def _check(seqs: np.ndarray, instance: Instance, cfg: GaConfig) -> None:
     if not cfg.validate_every_individual:
         return
     for seq in seqs:
-        _require_valid(Arrangement.from_id_sequence(instance.dims, seq), instance)
+        _require_valid(Arrangement(instance.dims, seq), instance)
 
 
 def _init_seqs(instance: Instance, cfg: GaConfig, rng: np.random.Generator) -> np.ndarray:
@@ -237,7 +237,7 @@ def _step_seqs(
 
 def init_population(instance: Instance, cfg: GaConfig, rng: np.random.Generator) -> list[Arrangement]:
     """N arrangements, each a shuffled canonical fill; all satisfy the constraints."""
-    return [Arrangement.from_id_sequence(instance.dims, s) for s in _init_seqs(instance, cfg, rng)]
+    return [Arrangement(instance.dims, s) for s in _init_seqs(instance, cfg, rng)]
 
 
 def roulette_select(fitnesses, rng: np.random.Generator) -> int:
@@ -268,17 +268,16 @@ def crossover(
     dims = p1.dims
     if not (0 <= planes.px <= dims.n1 and 0 <= planes.py <= dims.n2 and 0 <= planes.pz <= dims.n3):
         raise ValueError(f"planes {planes} outside axis bounds of {dims}")
-    s1, s2 = p1.id_sequence(), p2.id_sequence()
-    nc = s1.size
-    if s2.size != nc or not (p1.scan_vector()[:nc].all() and p2.scan_vector()[:nc].all()):
+    s1, s2 = p1.scan, p2.scan  # the id sequences, if both hold the canonical occupancy
+    if s1.size != s2.size or not (s1.all() and s2.all()):
         raise ShapeMismatch("parents do not both hold the canonical occupancy")
-    x, y, z = canonical_coords(dims, nc)
+    x, y, z = canonical_coords(dims, s1.size)
     outside = (x >= planes.px) | (y >= planes.py) | (z >= planes.pz)
     c1, c2 = s1.copy(), s2.copy()
     mark = np.zeros(int(max(s1.max(initial=0), s2.max(initial=0))) + 1, dtype=bool)
     _order_fill(c1, s2, outside, mark)
     _order_fill(c2, s1, outside, mark)
-    return Arrangement.from_id_sequence(dims, c1), Arrangement.from_id_sequence(dims, c2)
+    return Arrangement(dims, c1), Arrangement(dims, c2)
 
 
 def mutate(arr: Arrangement, rng: np.random.Generator) -> Arrangement:
@@ -301,7 +300,7 @@ def evolve_step(
         raise ValueError(f"population size {len(population)} != cfg.pop_size {cfg.pop_size}")
     seqs = np.stack([arr.id_sequence() for arr in population])
     rows, _ = _step_seqs(seqs, np.arange(len(seqs)), _batch_fitness(seqs, instance), instance, cfg, rng)
-    return [Arrangement.from_id_sequence(instance.dims, seqs[r]) for r in rows]
+    return [Arrangement(instance.dims, seqs[r]) for r in rows]
 
 
 def run(instance: Instance, cfg: GaConfig) -> RunStats:
@@ -325,5 +324,5 @@ def run(instance: Instance, cfg: GaConfig) -> RunStats:
         elapsed_ms = (time.perf_counter() - started) * 1e3
         history[generation - 1] = (generation, fits.min(), _mean(fits), elapsed_ms)
     best_row = int(np.argmin(fits))
-    best = Arrangement.from_id_sequence(instance.dims, seqs[rows[best_row]])
+    best = Arrangement(instance.dims, seqs[rows[best_row]])
     return RunStats(GenerationHistory(history), best, float(fits[best_row]))

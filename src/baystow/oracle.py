@@ -55,7 +55,7 @@ def exhaustive_optimum(instance: Instance) -> OracleResult:
     perms = _all_permutations(nc)
     costs = _batch_fitness(perms, instance)
     best = int(np.argmin(costs))
-    return OracleResult(float(costs[best]), Arrangement.from_id_sequence(instance.dims, perms[best]))
+    return OracleResult(float(costs[best]), Arrangement(instance.dims, perms[best]))
 
 
 def rearrangement_optimum(instance: Instance) -> OracleResult:
@@ -71,5 +71,5 @@ def rearrangement_optimum(instance: Instance) -> OracleResult:
     cell_order = np.argsort(above, kind="stable")
     seq = np.empty(nc, dtype=np.int64)
     seq[cell_order] = id_order + 1
-    witness = Arrangement.from_id_sequence(instance.dims, seq)
+    witness = Arrangement(instance.dims, seq)
     return OracleResult(fitness(witness, instance).fitness, witness)

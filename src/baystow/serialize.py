@@ -120,9 +120,8 @@ def read_instance(path: str | Path) -> Instance:
 
 
 def write_arrangement(arr: Arrangement, path: str | Path) -> None:
-    vector = arr.scan_vector()
-    occupied = np.flatnonzero(vector)
-    columns = (*cell_coords(arr.dims, occupied), vector[occupied])
+    occupied = np.flatnonzero(arr.scan)
+    columns = (*cell_coords(arr.dims, occupied), arr.scan[occupied])
     document = {
         "dims": {"n1": arr.dims.n1, "n2": arr.dims.n2, "n3": arr.dims.n3},
         "cells": [
@@ -141,7 +140,7 @@ def read_arrangement(path: str | Path) -> Arrangement:
         raise ParseError(f"{path}: cells: expected a list, got {type(raw).__name__}")
     if len(raw) > dims.capacity:
         raise ParseError(f"{path}: {len(raw)} cells exceed bay capacity {dims.capacity}")
-    grid = np.zeros((dims.n1, dims.n2, dims.n3), dtype=np.int64)
+    ids_at: dict[int, int] = {}  # container id by scan position, so the bay is never allocated
     seen_ids: set[int] = set()
     for index, item in enumerate(raw):
         where = f"{path}: cells[{index}]"
@@ -154,15 +153,18 @@ def read_arrangement(path: str | Path) -> Arrangement:
         cell, cid = Cell(obj["x"], obj["y"], obj["z"]), obj["id"]
         if not dims.contains(cell):
             raise ParseError(f"{where}: cell {tuple(cell)} outside bay {dims}")
-        if grid[cell]:
+        position = (cell.z * dims.n1 + cell.x) * dims.n2 + cell.y
+        if position in ids_at:
             raise ParseError(f"{where}: duplicate cell {tuple(cell)}")
         if cid > dims.capacity:
             raise ParseError(f"{where}.id: container ids must be in 1..{dims.capacity}, got {cid}")
         if cid in seen_ids:
             raise ParseError(f"{where}: duplicate container id {cid}")
-        grid[cell] = cid
+        ids_at[position] = cid
         seen_ids.add(cid)
-    return Arrangement(dims, grid)
+    scan = np.zeros(max(ids_at, default=-1) + 1, dtype=np.int64)
+    scan[list(ids_at)] = list(ids_at.values())
+    return Arrangement(dims, scan)
 
 
 def _write_csv(path: str | Path, header: tuple[str, ...], rows) -> None:

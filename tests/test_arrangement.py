@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,7 @@ from baystow import (
     shuffle_ids,
     validate,
 )
-from conftest import make_instance
+from conftest import from_grid, make_instance
 
 
 class FixedPairs:
@@ -35,7 +37,7 @@ def corrupt(dims, assignments):
     grid = np.zeros(dims, dtype=np.int64)
     for (x, y, z), cid in assignments.items():
         grid[x, y, z] = cid
-    return Arrangement(BayDims(*dims), grid)
+    return from_grid(grid)
 
 
 class TestCanonicalFill:
@@ -123,6 +125,21 @@ class TestAboveCount:
         with pytest.raises(ValueError):
             above_count(canonical_fill(inst), Cell(5, 0, 0))
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 4), st.integers(0, 2**32 - 1))
+    def test_matches_column_count_on_the_grid(self, n1, n2, n3, seed):
+        """Any occupancy, valid or not: every cell's count or error, cells past the scan's end included."""
+        rng = np.random.default_rng(seed)
+        length = int(rng.integers(0, n1 * n2 * n3 + 1))
+        arr = Arrangement(BayDims(n1, n2, n3), rng.integers(1, 9, size=length) * (rng.random(length) < 0.6))
+        grid = arr.grid
+        for x, y, z in itertools.product(range(n1), range(n2), range(n3)):
+            if grid[x, y, z] == EMPTY:
+                with pytest.raises(ValueError, match="is empty"):
+                    above_count(arr, Cell(x, y, z))
+            else:
+                assert above_count(arr, Cell(x, y, z)) == np.count_nonzero(grid[x, y, z + 1 :])
+
 
 class TestValidate:
     def test_floating_container(self):
@@ -178,10 +195,10 @@ class TestValidate:
 
 def reference_validate(arr, instance):
     """`validate` as a loop over every id, floor and cell; the vectorised form must match it."""
-    dims, nc = arr.dims, instance.n_containers
-    occupied = arr.grid != 0
+    dims, nc, grid = arr.dims, instance.n_containers, arr.grid
+    occupied = grid != 0
     violations = []
-    values, counts = np.unique(arr.grid[occupied], return_counts=True)
+    values, counts = np.unique(grid[occupied], return_counts=True)
     for value, count in zip(values, counts):
         if count > 1:
             violations.append(Violation("permutation", f"id {value}", f"appears in {count} cells"))
@@ -203,7 +220,7 @@ def reference_validate(arr, instance):
                     f"holds {floor_counts[j]} containers, floor {j + 1} holds {floor_counts[j + 1]}",
                 )
             )
-    occupied_scan = arr.scan_vector() != 0
+    occupied_scan = grid.transpose(2, 0, 1).ravel() != 0
     canonical = np.arange(dims.capacity) < nc
     xs, ys, zs = cell_coords(dims, np.arange(dims.capacity))
     for k in np.flatnonzero(occupied_scan & ~canonical):
@@ -234,7 +251,8 @@ def defective_arrangements(draw):
     nc = draw(st.integers(2 if kind == "duplicate" else 1, high))
     inst = make_instance((dims.n1, dims.n2, dims.n3), [1.0] * nc)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    vector = shuffle_ids(canonical_fill(inst), rng, nc).scan_vector().copy()
+    vector = np.zeros(dims.capacity, dtype=np.int64)
+    vector[:nc] = shuffle_ids(canonical_fill(inst), rng, nc).scan
     xs, ys, zs = cell_coords(dims, np.arange(dims.capacity))
 
     def where(position):
@@ -262,7 +280,7 @@ def defective_arrangements(draw):
         expected = [("support", where(target), "occupied cell with empty cell below")]
     if lost is not None:
         expected.append(("permutation", f"id {lost}", "placed nowhere"))
-    return inst, Arrangement.from_scan_vector(dims, vector), {Violation(*v): 1 for v in expected}
+    return inst, Arrangement(dims, vector), {Violation(*v): 1 for v in expected}
 
 
 class TestValidateProperties:
@@ -274,24 +292,49 @@ class TestValidateProperties:
         assert {v: report.count(v) for v in expected} == expected
         assert report == reference_validate(arr, inst)
 
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3), st.integers(0, 2**32 - 1))
-    def test_random_grids_match_reference(self, n1, n2, n3, seed):
-        """Arbitrary grids, valid or not, get the reference report, in the same order."""
+    @settings(max_examples=90, deadline=None)
+    @given(
+        st.integers(1, 3),
+        st.integers(1, 3),
+        st.integers(1, 4),
+        st.sampled_from(["any", "short", "gapped"]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_random_grids_match_reference(self, n1, n2, n3, kind, seed):
+        """Arbitrary grids, valid or not, get the reference report, in the same order.
+
+        "short" grids end before the Nc-th scan cell; "gapped" ones hold an
+        occupied cell past a run of empty floors.
+        """
         rng = np.random.default_rng(seed)
-        nc = int(rng.integers(0, n1 * n2 * n3 + 1))
+        capacity, floor = n1 * n2 * n3, n1 * n2
+        nc = int(rng.integers(0, capacity + 1))
         inst = make_instance((n1, n2, n3), [1.0] * nc)
-        grid = rng.integers(-1, nc + 3, size=(n1, n2, n3)) * (rng.random((n1, n2, n3)) < 0.7)
-        arr = Arrangement(BayDims(n1, n2, n3), grid)
+        scan = rng.integers(-1, nc + 3, size=capacity) * (rng.random(capacity) < 0.7)
+        if kind == "short":
+            scan[int(rng.integers(0, nc)) if nc else 0 :] = 0
+        elif kind == "gapped" and n3 > 1:
+            first = int(rng.integers(0, n3 - 1))
+            last = int(rng.integers(first + 1, n3))
+            scan[first * floor : last * floor] = 0
+            scan[int(rng.integers(last * floor, capacity))] = int(rng.integers(1, nc + 3))
+        arr = from_grid(scan.reshape(n3, n1, n2).transpose(1, 2, 0))
         assert validate(arr, inst) == reference_validate(arr, inst)
 
 
 class TestArrangementValue:
-    def test_scan_vector_round_trip(self):
+    def test_scan_round_trip(self):
+        """An arrangement rebuilt from its scan, or from its dense grid, equals it."""
         inst = make_instance((3, 2, 2), [1.0] * 9)
-        arr = canonical_fill(inst)
-        again = Arrangement.from_scan_vector(arr.dims, arr.scan_vector())
-        assert again == arr
+        arr = shuffle_ids(canonical_fill(inst), np.random.default_rng(3), 9)
+        assert Arrangement(arr.dims, arr.scan) == arr
+        assert from_grid(arr.grid) == arr
+
+    def test_scan_is_cut_after_the_last_occupied_cell(self):
+        dims = BayDims(2, 2, 2)
+        assert Arrangement(dims, [0, 4, 0, 2, 0, 0, 0, 0]).scan.tolist() == [0, 4, 0, 2]
+        assert Arrangement(dims, [0, 0]).scan.size == 0
+        assert Arrangement(dims, [0, 4, 0, 2]) == Arrangement(dims, [0, 4, 0, 2, 0, 0])
 
     def test_id_sequence_round_trip(self):
         inst = make_instance((3, 2, 2), [1.0] * 9)
@@ -304,17 +347,26 @@ class TestArrangementValue:
         arr = canonical_fill(inst)
         with pytest.raises(ValueError):
             arr.grid[0, 0, 0] = 7
+        with pytest.raises(ValueError):
+            arr.scan[0] = 7
+
+    def test_callers_vector_is_copied_not_frozen(self):
+        """The constructor copies: the caller's array stays writable, and a later write leaves the value alone."""
+        vector = np.array([3, 1, 2, 4, 0], dtype=np.int64)
+        arr = Arrangement(BayDims(2, 2, 2), vector)
+        vector[0] = 5
+        assert arr.scan.tolist() == [3, 1, 2, 4]
+        assert not np.shares_memory(arr.scan, vector)
 
     @pytest.mark.parametrize(
         "call, message",
         [
-            (lambda d: Arrangement(d, np.zeros((2, 2, 1))), r"grid shape \(2, 2, 1\) does not match"),
-            (lambda d: Arrangement.from_scan_vector(d, [1] * 7), "scan vector must have length 8"),
+            (lambda d: Arrangement(d, np.zeros((2, 2, 1))), r"scan vector must be one-dimensional, got shape \(2, 2, 1\)"),
             (lambda d: Arrangement.from_id_sequence(d, range(1, 10)), "9 ids exceed bay capacity 8"),
             (lambda d: shuffle_ids(Arrangement.from_id_sequence(d, [1]), None, -1),
              "swaps must be >= 0"),
         ],
-        ids=["grid-shape", "scan-vector-length", "too-many-ids", "negative-swaps"],
+        ids=["grid-shape", "too-many-ids", "negative-swaps"],
     )
     def test_broken_precondition_is_value_error(self, call, message):
         with pytest.raises(ValueError, match=message):

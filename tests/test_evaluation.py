@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from baystow import (
     BayDims,
     GaConfig,
     GeneratorSpec,
+    Instance,
     InvalidArrangement,
     canonical_fill,
     fitness,
@@ -80,19 +83,28 @@ class TestFitness:
             arr = shuffle_ids(base, rng, 11)
             assert sum(rehandles(arr, inst).values()) == expected
 
+    def test_memory_on_a_sparse_bay(self, rng):
+        """Eight containers in a 4,000,000-cell bay: checking and scoring them costs their ids, not the cells."""
+        inst = Instance(BayDims(2000, 2000, 1), np.arange(1.0, 9.0))
+        arr = shuffle_ids(canonical_fill(inst), rng, 8)
+        expected = fitness(arr, inst).fitness  # builds the bay's cached table
+        tracemalloc.start()
+        try:
+            result = fitness(arr, inst)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.fitness == expected == 0.0
+        assert peak < 16 * 1024
+
     def test_invalid_arrangement_rejected(self):
         inst = make_instance((1, 1, 2), [1.0])
-        grid = np.zeros((1, 1, 2), dtype=np.int64)
-        grid[0, 0, 1] = 1
-        floating = Arrangement(inst.dims, grid)
+        floating = Arrangement(inst.dims, [0, 1])
         with pytest.raises(InvalidArrangement) as exc_info:
             fitness(floating, inst)
         assert exc_info.value.violations
 
     def test_rejects_rehandles_on_invalid_too(self):
         inst = make_instance((2, 1, 1), [1.0, 2.0])
-        grid = np.zeros((2, 1, 1), dtype=np.int64)
-        grid[0, 0, 0] = 2
-        grid[1, 0, 0] = 2
         with pytest.raises(InvalidArrangement):
-            rehandles(Arrangement(inst.dims, grid), inst)
+            rehandles(Arrangement(inst.dims, [2, 2]), inst)

@@ -138,7 +138,7 @@ class TestSweepInstances:
 
 class TestRunSweep:
     def test_result_retains_histories_and_bests_only(self):
-        """A sweep's result holds each run's best grid and history, not its instance."""
+        """A sweep's result holds each run's best scan vector and history, not its instance."""
         spec = SweepSpec("containers", (1000, 8000), config=GaConfig(pop_size=4, generations=2), reps=3)
         run_sweep(spec)  # builds the bays' cached tables
         tracemalloc.start()
@@ -147,9 +147,24 @@ class TestRunSweep:
             retained, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        grids = sum(r.stats.best.grid.nbytes for r in result.runs)
+        scans = sum(r.stats.best.scan.nbytes for r in result.runs)
         assert len(result.runs) == 6
-        assert retained < 1.5 * grids
+        assert retained < 1.5 * scans
+
+    def test_sparse_bay_sweep_retains_ids_not_cells(self):
+        """Nine runs of eight containers in a 1,000,000-cell bay keep their ids and histories only."""
+        spec = SweepSpec(
+            "generations", (1, 2, 3), config=GaConfig(pop_size=4), n_containers=8, dims=BayDims(1000, 1000, 1), reps=3
+        )
+        run_sweep(spec)  # builds the bay's cached tables
+        tracemalloc.start()
+        try:
+            result = run_sweep(spec)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(result.runs) == 9
+        assert retained < 64 * 1024
 
     def test_tables_of_the_last_bays_only_outlive_a_sweep(self):
         """A sweep over more 20x20x20 bays than the table cache holds leaves only the last ones' tables."""

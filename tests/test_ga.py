@@ -257,13 +257,13 @@ class TestCrossover:
     def test_shared_non_canonical_occupancy_rejected(self):
         """Both parents fill scan cells 0, 1, 2 and 4, not the canonical 0-3: outside the engine's space."""
         dims = BayDims(2, 2, 2)
-        a = Arrangement.from_scan_vector(dims, [1, 2, 3, 0, 4, 0, 0, 0])
-        b = Arrangement.from_scan_vector(dims, [4, 3, 2, 0, 1, 0, 0, 0])
+        a = Arrangement(dims, [1, 2, 3, 0, 4, 0, 0, 0])
+        b = Arrangement(dims, [4, 3, 2, 0, 1, 0, 0, 0])
         with pytest.raises(ShapeMismatch, match="canonical occupancy"):
             crossover(a, b, CrossoverPlanes(1, 1, 1))
 
     def test_memory_on_a_sparse_bay(self, rng):
-        """Eight containers in a 200,000-cell bay: the two children's grids and one being built."""
+        """Eight containers in a 200,000-cell bay: the children cost their ids, not the bay's cells."""
         inst = make_instance((100, 100, 20), [1.0] * 8)
         base = canonical_fill(inst)
         p1, p2 = shuffle_ids(base, rng, 8), shuffle_ids(base, rng, 8)
@@ -274,7 +274,7 @@ class TestCrossover:
         finally:
             tracemalloc.stop()
         assert all(validate(child, inst) == [] for child in children)
-        assert peak < 4 * base.grid.nbytes
+        assert peak < 16 * 1024
 
     def test_plane_out_of_bounds_rejected(self):
         arr = canonical_fill(make_instance((2, 2, 2), [1.0] * 4))
@@ -304,7 +304,8 @@ def test_crossover_keeps_box_and_fills_in_donor_order(case):
     c1, c2 = crossover(p1, p2, planes)
     for keeper, donor, child in ((p1, p2, c1), (p2, p1, c2)):
         assert validate(child, inst) == []
-        keep_ids, donor_ids, child_ids = keeper.scan_vector(), donor.scan_vector(), child.scan_vector()
+        # Each parent's scan vector, full length, from its grid.
+        keep_ids, donor_ids, child_ids = (a.grid.transpose(2, 0, 1).ravel() for a in (keeper, donor, child))
         np.testing.assert_array_equal(child_ids[box], keep_ids[box])
         in_box = set(keep_ids[box].tolist())
         rest = [i for i in donor_ids.tolist() if i != EMPTY and i not in in_box]
@@ -556,8 +557,9 @@ def test_run_invariants(case):
     assert np.all(bests >= optimum * (1 - 1e-12))
     assert math.isclose(fitness(stats.best, inst).fitness, stats.best_fitness, rel_tol=1e-12)
     # The depths `fitness` reads from the canonical table equal the cells stacked in the best's grid.
-    cells = map(tuple, np.argwhere(stats.best.grid))
-    assert rehandles(stats.best, inst) == {int(stats.best.grid[c]): above_count(stats.best, c) for c in cells}
+    grid = stats.best.grid  # built on each access
+    cells = map(tuple, np.argwhere(grid))
+    assert rehandles(stats.best, inst) == {int(grid[c]): above_count(stats.best, c) for c in cells}
     assert stats.best_fitness == bests[-1]
     assert np.all(means >= bests)
 
@@ -683,6 +685,19 @@ class TestRun:
         run(inst, GaConfig(pop_size=4, generations=2))  # builds the instance's cached tables
         peak = traced_peak(lambda: run(inst, GaConfig(pop_size=50, generations=3, seed=7)))
         assert peak < 2.3 * 50 * inst.n_containers * np.dtype(np.int64).itemsize
+
+    def test_best_shares_no_memory_with_the_population(self):
+        """The best is a copy: no later write to the engine's matrix can reach it."""
+        inst, init, matrices = small_instance(), baystow.ga._init_seqs, []
+
+        def init_seqs(*args):
+            matrices.append(init(*args))
+            return matrices[-1]
+
+        with mock.patch.object(baystow.ga, "_init_seqs", init_seqs):
+            stats = run(inst, GaConfig(pop_size=6, generations=5, seed=3))
+        assert len(matrices) == 1
+        assert not np.shares_memory(stats.best.scan, matrices[0])
 
     def test_history_memory_is_columnar(self):
         """A 1,500-generation run keeps its history in 32 bytes per generation, not one object each."""

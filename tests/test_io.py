@@ -23,6 +23,7 @@ from baystow import (
     read_stats,
     run,
     shuffle_ids,
+    validate,
     write_arrangement,
     write_instance,
     write_stats,
@@ -236,6 +237,21 @@ class TestArrangementFiles:
             read_arrangement(path)
         assert str(info.value) == f"{path}: cells[1]: {problem}"
 
+    def test_read_retains_the_ids_not_the_bay(self, tmp_path, rng):
+        """Eight containers in a 4,000,000-cell bay: the value read holds eight ids, not a grid."""
+        inst = Instance(BayDims(2000, 2000, 1), np.arange(1.0, 9.0))
+        path = tmp_path / "arr.json"
+        write_arrangement(shuffle_ids(canonical_fill(inst), rng, 8), path)
+        read_arrangement(path)  # imports what a read imports lazily
+        tracemalloc.start()
+        try:
+            arr = read_arrangement(path)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert validate(arr, inst) == []
+        assert retained < 16 * 1024
+
 
 class TestCompactFiles:
     def test_one_line_documents_round_trip(self, tmp_path, rng):
@@ -243,12 +259,14 @@ class TestCompactFiles:
         inst = generate_instance(GeneratorSpec(BayDims(4, 3, 3), 29, seed=5))
         arr = shuffle_ids(canonical_fill(inst), rng, 29)
         # a non-canonical occupancy: the last container moved to the top corner
-        vector = arr.scan_vector().copy()
+        vector = np.zeros(inst.dims.capacity, dtype=np.int64)
+        vector[:29] = arr.scan
         vector[-1], vector[28] = vector[28], 0
-        sparse = Arrangement.from_scan_vector(inst.dims, vector)
+        sparse = Arrangement(inst.dims, vector)
         dims = {"n1": 4, "n2": 3, "n3": 3}
         # Occupied cells in scan order: by floor, then x, then y.
-        cells = sorted(np.argwhere(sparse.grid).tolist(), key=lambda c: (c[2], c[0], c[1]))
+        grid = sparse.grid
+        cells = sorted(np.argwhere(grid).tolist(), key=lambda c: (c[2], c[0], c[1]))
         for obj, write, read, document in (
             (inst, write_instance, read_instance, {
                 "dims": dims,
@@ -256,7 +274,7 @@ class TestCompactFiles:
             }),
             (sparse, write_arrangement, read_arrangement, {
                 "dims": dims,
-                "cells": [{"x": x, "y": y, "z": z, "id": int(sparse.grid[x, y, z])} for x, y, z in cells],
+                "cells": [{"x": x, "y": y, "z": z, "id": int(grid[x, y, z])} for x, y, z in cells],
             }),
         ):
             path = tmp_path / "file.json"

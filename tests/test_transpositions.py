@@ -33,14 +33,14 @@ def reference_init(nc: int, pop: int, swaps: int, rng: np.random.Generator) -> n
 
 def reference_shuffle(arr: Arrangement, rng: np.random.Generator, swaps: int) -> Arrangement:
     """Per-swap `shuffle_ids` over the occupied cells of the scan vector."""
-    vector = arr.scan_vector().copy()
+    vector = arr.scan.copy()
     occupied = np.flatnonzero(vector)
     if swaps == 0 or occupied.size < 1:
         return arr
     for a, b in rng.integers(0, occupied.size, size=(swaps, 2)):
         ia, ib = occupied[a], occupied[b]
         vector[ia], vector[ib] = vector[ib], vector[ia]
-    return Arrangement.from_scan_vector(arr.dims, vector)
+    return Arrangement(arr.dims, vector)
 
 
 def line_instance(nc: int, height: int = 1) -> Instance:
